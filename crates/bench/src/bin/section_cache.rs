@@ -2,8 +2,8 @@
 //! compositional analysis on loop-heavy kernels.
 //!
 //! The cold model pass is quadratic on a loop-carried chain — the backward
-//! slice of iteration `i`'s address runs through `i` phi steps, and
-//! `run_over` drains it per access — while a warm replay writes each
+//! slice of iteration `i`'s address runs through `i` phi steps, and the
+//! per-root walk drains it per access — while a warm replay writes each
 //! section's net final-state delta in one linear pass. The study measures
 //! that asymmetry honestly: every timed result is first checked equal to
 //! the monolithic analysis (a speedup on a wrong answer is not a speedup),

@@ -21,8 +21,8 @@
 //! function with no arguments.
 
 use epvf_core::{
-    analyze, analyze_compositional, analyze_threaded, parse_fault_model, per_instruction_scores,
-    AceConfig, EpvfConfig, FaultModel, SectionCache,
+    analyze, analyze_compositional, parse_fault_model, per_instruction_scores, AceConfig,
+    EpvfConfig, FaultModel, SectionCache,
 };
 use epvf_interp::{ExecConfig, Interpreter};
 use epvf_ir::{parse_module, Module};
@@ -343,8 +343,6 @@ usage: epvf <command> [args]
                                re-analysis replays unchanged sections in
                                O(diff) and prints hit/miss stats; results
                                are byte-identical to the monolithic pass
-    --threads T                parallelize the propagation model (without
-                               --section-cache); results are identical
   inject <target> [N] [SEED]   fault-injection campaign (default 1000, 42)
     --ckpt-interval K          replay checkpoint spacing in dyn insts
                                (0 = full from-scratch replays; default auto)
@@ -583,19 +581,14 @@ fn cmd_run(t: Target, _rest: &[String]) -> Result<(), CliError> {
 
 fn cmd_analyze(t: Target, rest: &[String]) -> Result<(), CliError> {
     let mut cache_dir: Option<std::path::PathBuf> = None;
-    let mut threads: Option<usize> = None;
     let mut it = rest.iter();
     while let Some(a) = it.next() {
-        let mut value = |what: &str| -> Result<&String, CliError> {
-            it.next()
-                .ok_or_else(|| CliError::usage(format!("{what} needs a value")))
-        };
-        let bad = |what: &str| CliError::usage(format!("bad {what}"));
         match a.as_str() {
-            "--section-cache" => cache_dir = Some(value("--section-cache")?.into()),
-            "--threads" => {
-                let n: usize = value("--threads")?.parse().map_err(|_| bad("--threads"))?;
-                threads = Some(n.max(1));
+            "--section-cache" => {
+                let dir = it
+                    .next()
+                    .ok_or_else(|| CliError::usage("--section-cache needs a value"))?;
+                cache_dir = Some(dir.into());
             }
             flag if flag.starts_with("--") => {
                 return Err(CliError::usage(format!("unknown flag `{flag}`")))
@@ -611,10 +604,8 @@ fn cmd_analyze(t: Target, rest: &[String]) -> Result<(), CliError> {
         .as_ref()
         .ok_or_else(|| CliError::campaign("golden run produced no trace"))?;
     let config = EpvfConfig::default();
-    // `--section-cache` switches to the compositional engine (which is
-    // serial per section but O(diff) on a warm cache); otherwise
-    // `--threads` parallelizes the monolithic propagation pass. Both
-    // produce byte-identical metrics to the default serial analysis.
+    // `--section-cache` switches to the compositional engine (O(diff) on a
+    // warm cache), which produces byte-identical metrics to `analyze`.
     let mut cache =
         match &cache_dir {
             Some(dir) => Some(SectionCache::persistent(dir).map_err(|e| {
@@ -622,10 +613,9 @@ fn cmd_analyze(t: Target, rest: &[String]) -> Result<(), CliError> {
             })?),
             None => None,
         };
-    let res = match (&mut cache, threads) {
-        (Some(cache), _) => analyze_compositional(&t.module, trace, config, cache),
-        (None, Some(n)) => analyze_threaded(&t.module, trace, config, n),
-        (None, None) => analyze(&t.module, trace, config),
+    let res = match &mut cache {
+        Some(cache) => analyze_compositional(&t.module, trace, config, cache),
+        None => analyze(&t.module, trace, config),
     };
     let m = &res.metrics;
     println!("target        : {}", t.label);

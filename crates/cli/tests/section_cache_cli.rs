@@ -258,6 +258,45 @@ fn analyze_flag_errors_stay_in_the_usage_family() {
     assert_eq!(code, 2, "{stderr}");
     let (_, _, code) = epvf(&["analyze", "mm:tiny", "--section-cache"]);
     assert_eq!(code, 2, "flag without a value");
-    let (_, _, code) = epvf(&["analyze", "mm:tiny", "--threads", "zero"]);
-    assert_eq!(code, 2, "malformed value");
+    let (_, stderr, code) = epvf(&["analyze", "mm:tiny", "--threads", "4"]);
+    assert_eq!(code, 2, "{stderr}");
+    assert!(stderr.contains("unknown flag `--threads`"), "{stderr}");
+}
+
+#[test]
+fn cold_cache_records_the_same_core_counters_as_plain_analyze() {
+    // A cold compositional pass walks every slice the monolithic pass walks
+    // and evaluates each access's `CHECK_BOUNDARY` once, as it does: every
+    // `core.` counter must agree, boundary checks included.
+    for target in ["mm:tiny", "bfs:tiny", "lud:small"] {
+        let dir = tmpdir(&format!("core-counters-{}", target.replace(':', "-")));
+        let plain = dir.join("plain.json");
+        let cold = dir.join("cold.json");
+        let cache = dir.join("cache");
+        let (_, stderr, code) =
+            epvf(&["analyze", target, "--metrics-out", plain.to_str().unwrap()]);
+        assert_eq!(code, 0, "{stderr}");
+        let (stdout, stderr, code) = epvf(&[
+            "analyze",
+            target,
+            "--section-cache",
+            cache.to_str().unwrap(),
+            "--metrics-out",
+            cold.to_str().unwrap(),
+        ]);
+        assert_eq!(code, 0, "{stderr}");
+        assert!(cache_line(&stdout).contains("0 hits"), "{stdout}");
+        let (stdout, stderr, code) = epvf(&[
+            "metrics-check",
+            "--diff-counters",
+            "core.",
+            plain.to_str().unwrap(),
+            cold.to_str().unwrap(),
+        ]);
+        assert_eq!(code, 0, "{target}: stdout:\n{stdout}\nstderr:\n{stderr}");
+        assert!(
+            stdout.contains("6 `core.` counter(s) identical"),
+            "{stdout}"
+        );
+    }
 }

@@ -8,11 +8,12 @@
 //!
 //! Two facts make the composition exact rather than approximate:
 //!
-//! 1. **Equality by construction (cold).** The monolithic pass processes
-//!    accesses in trace order and fully drains its worklist per access, so
-//!    splitting the trace into consecutive per-section ranges that share one
-//!    `CrashMap` executes the identical sequence of map operations. A cold
-//!    composed analysis *is* the monolithic analysis.
+//! 1. **Equality by construction (cold).** Both engines enumerate the same
+//!    roots in trace order and feed them to the same per-root walk, which
+//!    fully drains its worklist per access, so splitting the trace into
+//!    consecutive per-section ranges that share one `CrashMap` executes the
+//!    identical sequence of map operations. A cold composed analysis *is*
+//!    the monolithic analysis.
 //! 2. **Exact replay (warm).** A section run's summary is keyed by a
 //!    fingerprint of everything the pass reads: the section's instruction
 //!    content, the backward-closure's structure and runtime contents
@@ -23,16 +24,14 @@
 //!    them directly — O(summary) instead of O(walk). Any doubt hashes
 //!    differently and misses; misses merely recompute.
 
-use crate::crash_model::check_boundary;
-use crate::epvf::{compute_metrics, EpvfConfig, EpvfResult};
-use crate::propagation::{run_over, CrashMap, CrashScope, InstIndex, PropSink, TouchSet};
+use crate::epvf::{analyze_with, EpvfConfig, EpvfResult};
+use crate::propagation::{roots, CrashMap, CrashScope, PropSink, Root, TouchSet, Walk};
 use crate::section_cache::{OpTarget, SectionCache, SummaryOp, SECT_VERSION};
-use epvf_ddg::{build_ddg, AceGraph, Ddg, NodeId, NodeKind};
+use epvf_ddg::{AceGraph, Ddg, NodeId, NodeKind};
 use epvf_interp::{section_runs, DynInst, Trace};
 use epvf_ir::{Module, SectionMap};
 use std::collections::HashMap;
 use std::fmt;
-use std::time::Instant;
 
 const FNV64_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV64_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -102,42 +101,18 @@ fn sid_text_hashes(module: &Module) -> Vec<u64> {
 /// Produces a result equal to [`crate::analyze`] on the same inputs — the
 /// differential suite in `epvf-oracle` enforces full `CrashMap` equality —
 /// while a warm cache skips the propagation walk for unchanged sections.
-///
-/// The model phase is serial by construction (section runs are processed in
-/// trace order over one shared map); thread-count options in `config.crash`
-/// are ignored here, exactly as they are by the serial monolithic path.
 pub fn analyze_compositional(
     module: &Module,
     trace: &Trace,
     config: EpvfConfig,
     cache: &mut SectionCache,
 ) -> EpvfResult {
-    epvf_telemetry::add(epvf_telemetry::Ctr::CoreAnalyses, 1);
-    epvf_telemetry::add(epvf_telemetry::Ctr::CoreTraceLen, trace.len() as u64);
-    let t0 = Instant::now();
-    let ddg = build_ddg(module, trace);
-    let ace = AceGraph::compute(&ddg, config.ace);
-    let graph_time = t0.elapsed();
-
-    let t1 = Instant::now();
-    let crash_map = {
-        let _span = epvf_telemetry::span(epvf_telemetry::Tmr::CorePropagate);
-        compose_model(module, trace, &ddg, &ace, config, cache)
-    };
-    let model_time = t1.elapsed();
-
-    let metrics = compute_metrics(
-        module, trace, &ddg, &ace, &crash_map, graph_time, model_time,
-    );
-    EpvfResult {
-        ddg,
-        ace,
-        crash_map,
-        metrics,
-    }
+    analyze_with(module, trace, config, Some(cache))
 }
 
-fn compose_model(
+/// The crash + propagation model run one section run at a time: each run's
+/// roots either replay a cached summary or feed the shared per-root walk.
+pub(crate) fn compose_model(
     module: &Module,
     trace: &Trace,
     ddg: &Ddg,
@@ -145,36 +120,31 @@ fn compose_model(
     config: EpvfConfig,
     cache: &mut SectionCache,
 ) -> CrashMap {
+    let _span = epvf_telemetry::span(epvf_telemetry::Tmr::CorePropagate);
     let sections = SectionMap::build(module);
     let runs = section_runs(trace, |sid| sections.section_of(sid));
-    let index = InstIndex::new(module);
+    let mut walk = Walk::new(module, trace, ddg);
     let sid_hash = sid_text_hashes(module);
     let mut map = CrashMap::default();
 
     for run in runs {
-        // Access roots of this run — the same filter the monolithic pass
-        // applies per record. Runs without roots are no-ops in both engines
-        // and are skipped without touching the cache (so `sections` counts
-        // only runs that resolve via hit or miss).
-        let mut roots: Vec<(u64, NodeId)> = Vec::new();
-        for idx in run.start..run.end {
-            let rec = trace.get(idx).expect("record in run");
-            if rec.mem.is_none() {
-                continue;
-            }
-            let Some(def) = ddg.def_of_record(idx) else {
-                continue;
-            };
-            if config.scope == CrashScope::AceOnly && !ace.contains(def) {
-                continue;
-            }
-            roots.push((idx, def));
-        }
+        // Runs without roots are no-ops in both engines and are skipped
+        // without touching the cache (so `sections` counts only runs that
+        // resolve via hit or miss).
+        let roots: Vec<Root> = roots(
+            trace,
+            ddg,
+            ace,
+            config.crash,
+            config.scope,
+            run.start..run.end,
+        )
+        .collect();
         if roots.is_empty() {
             continue;
         }
 
-        let order = ddg.backward_closure_ordered(roots.iter().map(|&(_, n)| n));
+        let order = ddg.backward_closure_ordered(roots.iter().map(|r| r.def));
         let pos: HashMap<NodeId, u32> = order
             .iter()
             .enumerate()
@@ -211,20 +181,13 @@ fn compose_model(
             }
         } else {
             let mut touched = TouchSet::default();
-            run_over(
-                module,
-                trace,
-                ddg,
-                ace,
-                config.crash,
-                config.scope,
-                &index,
-                &mut PropSink {
-                    map: &mut map,
-                    touched: Some(&mut touched),
-                },
-                run.start..run.end,
-            );
+            let mut sink = PropSink {
+                map: &mut map,
+                touched: Some(&mut touched),
+            };
+            for &root in &roots {
+                walk.root(&mut sink, root);
+            }
             if let Some(ops) = encode_summary_ops(ddg, &map, &touched, &order, &pos) {
                 cache.store(key, ops);
             }
@@ -288,16 +251,14 @@ fn section_key(
     map: &CrashMap,
     config: EpvfConfig,
     content_hash: u64,
-    roots: &[(u64, NodeId)],
+    roots: &[Root],
     order: &[NodeId],
     pos: &HashMap<NodeId, u32>,
     sid_hash: &[u64],
 ) -> u64 {
     let mut k = Key::new();
     k.u32(SECT_VERSION);
-    // Config knobs that change the pass's semantics. Thread counts and the
-    // parallel cutoff are deliberately excluded: they never affect the
-    // serial walk, so caches are shared across `--threads` settings.
+    // Config knobs that change the pass's semantics.
     k.u8(config.ace.include_control as u8);
     k.u8(config.crash.stack_rule as u8);
     k.u64(config.crash.stack_limit);
@@ -312,13 +273,12 @@ fn section_key(
     // (hashing the *range* folds the whole memory-map snapshot and stack
     // rule into eight bytes) plus the address operand's runtime state.
     k.u32(roots.len() as u32);
-    for &(idx, def) in roots {
-        let rec = trace.get(idx).expect("root record");
+    for root in roots {
+        let rec = trace.get(root.idx).expect("root record");
         let mem = rec.mem.as_ref().expect("root has access");
-        k.u32(pos[&def]);
-        let range = check_boundary(mem, config.crash);
-        k.u64(range.lo);
-        k.u64(range.hi);
+        k.u32(pos[&root.def]);
+        k.u64(root.range.lo);
+        k.u64(root.range.hi);
         k.u8(mem.is_store as u8);
         let addr_slot = if mem.is_store { 1 } else { 0 };
         let addr_op = &rec.operands[addr_slot];
@@ -510,5 +470,41 @@ mod tests {
         let comp = analyze_compositional(&m20, &t20, EpvfConfig::default(), &mut cache);
         let mono = crate::analyze(&m20, &t20, EpvfConfig::default());
         assert_eq!(mono.crash_map, comp.crash_map);
+    }
+
+    /// The keys the section cache is addressed by, as earlier releases
+    /// computed them. Persisted `EPVFSEC1` summaries are found by these
+    /// values, so a refactor that changes what `section_key` hashes (or its
+    /// order) would silently turn every existing cache into misses; a real
+    /// format change must bump `SECT_VERSION` and update them here.
+    #[test]
+    fn section_keys_are_stable() {
+        let keys = |m: &Module, t: &Trace, scope| {
+            let mut cache = SectionCache::in_memory();
+            let config = EpvfConfig {
+                scope,
+                ..EpvfConfig::default()
+            };
+            let _ = analyze_compositional(m, t, config, &mut cache);
+            cache.keys()
+        };
+        let (m, t) = kernel(12, 3);
+        assert_eq!(keys(&m, &t, CrashScope::AceOnly), [0xde9a_bb68_1df1_0ad0]);
+        assert_eq!(
+            keys(&m, &t, CrashScope::AllAccesses),
+            [0xa573_1210_bac4_2405]
+        );
+        let bfs = epvf_workloads::by_name("bfs", epvf_workloads::Scale::Tiny).expect("bfs");
+        let golden = bfs.golden();
+        let trace = golden.trace.as_ref().expect("traced");
+        assert_eq!(
+            keys(&bfs.module, trace, CrashScope::AceOnly),
+            [
+                0x91bb_fd5f_4d32_a1eb,
+                0x9809_7486_fe54_242c,
+                0xde20_222d_73ad_e6ce,
+                0xfe10_9cfb_c0c5_2784,
+            ]
+        );
     }
 }

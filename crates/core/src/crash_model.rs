@@ -26,14 +26,6 @@ pub struct CrashModelConfig {
     pub stack_rule: bool,
     /// The RLIMIT_STACK-style stack limit used to bound expansion.
     pub stack_limit: u64,
-    /// Minimum trace length (dynamic instructions) before parallel
-    /// propagation fans out to worker threads; shorter traces run serially
-    /// (thread setup would dominate).
-    pub parallel_cutoff: usize,
-    /// Worker threads for parallel propagation; 0 means use the machine's
-    /// available parallelism. An explicit `threads` argument to
-    /// `propagate_parallel` overrides this.
-    pub threads: usize,
 }
 
 impl Default for CrashModelConfig {
@@ -41,8 +33,6 @@ impl Default for CrashModelConfig {
         CrashModelConfig {
             stack_rule: true,
             stack_limit: DEFAULT_STACK_LIMIT,
-            parallel_cutoff: 1024,
-            threads: 0,
         }
     }
 }

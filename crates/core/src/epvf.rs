@@ -3,8 +3,10 @@
 //! `trace → DDG → ACE graph → crash model + propagation → ePVF`, with the
 //! phase timing split the paper reports in Fig. 10.
 
+use crate::compose::compose_model;
 use crate::crash_model::CrashModelConfig;
 use crate::propagation::{propagate_scoped, CrashMap, CrashScope};
+use crate::section_cache::SectionCache;
 use epvf_ddg::{build_ddg, AceConfig, AceGraph, Ddg};
 use epvf_interp::Trace;
 use epvf_ir::Module;
@@ -111,42 +113,19 @@ pub fn trace_use_bits(module: &Module, trace: &Trace) -> u64 {
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 pub fn analyze(module: &Module, trace: &Trace, config: EpvfConfig) -> EpvfResult {
-    epvf_telemetry::add(epvf_telemetry::Ctr::CoreAnalyses, 1);
-    epvf_telemetry::add(epvf_telemetry::Ctr::CoreTraceLen, trace.len() as u64);
-    let t0 = Instant::now();
-    let ddg = build_ddg(module, trace);
-    let ace = AceGraph::compute(&ddg, config.ace);
-    let graph_time = t0.elapsed();
-
-    let t1 = Instant::now();
-    let crash_map = propagate_scoped(module, trace, &ddg, &ace, config.crash, config.scope);
-    let model_time = t1.elapsed();
-
-    let metrics = compute_metrics(
-        module, trace, &ddg, &ace, &crash_map, graph_time, model_time,
-    );
-    EpvfResult {
-        ddg,
-        ace,
-        crash_map,
-        metrics,
-    }
+    analyze_with(module, trace, config, None)
 }
 
-/// [`analyze`] with the propagation model parallelized over `threads`
-/// workers (`0` = resolve from `config.crash.threads` / machine
-/// parallelism). Only the paper-default [`CrashScope::AceOnly`] runs in
-/// parallel; other scopes fall back to the serial pass, matching
-/// [`crate::propagate_parallel`].
-pub fn analyze_threaded(
+/// The body shared by [`analyze`] and [`crate::analyze_compositional`]:
+/// without a cache the crash model runs over the whole trace at once, with
+/// one it runs section by section through `cache`. Both feed the same
+/// per-root walk, so the results are identical.
+pub(crate) fn analyze_with(
     module: &Module,
     trace: &Trace,
     config: EpvfConfig,
-    threads: usize,
+    cache: Option<&mut SectionCache>,
 ) -> EpvfResult {
-    if config.scope != CrashScope::AceOnly {
-        return analyze(module, trace, config);
-    }
     epvf_telemetry::add(epvf_telemetry::Ctr::CoreAnalyses, 1);
     epvf_telemetry::add(epvf_telemetry::Ctr::CoreTraceLen, trace.len() as u64);
     let t0 = Instant::now();
@@ -155,8 +134,10 @@ pub fn analyze_threaded(
     let graph_time = t0.elapsed();
 
     let t1 = Instant::now();
-    let crash_map =
-        crate::propagation::propagate_parallel(module, trace, &ddg, &ace, config.crash, threads);
+    let crash_map = match cache {
+        None => propagate_scoped(module, trace, &ddg, &ace, config.crash, config.scope),
+        Some(cache) => compose_model(module, trace, &ddg, &ace, config, cache),
+    };
     let model_time = t1.elapsed();
 
     let metrics = compute_metrics(

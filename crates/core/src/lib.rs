@@ -63,17 +63,14 @@ pub use census::{bit_census, BitCensus, CensusRow};
 pub use classify::{BitBand, OpClass, OpClassTable, OperandKind, SiteClass};
 pub use compose::analyze_compositional;
 pub use crash_model::{check_boundary, CrashModelConfig};
-pub use epvf::{
-    analyze, analyze_threaded, compute_metrics, trace_use_bits, EpvfConfig, EpvfMetrics, EpvfResult,
-};
+pub use epvf::{analyze, compute_metrics, trace_use_bits, EpvfConfig, EpvfMetrics, EpvfResult};
 pub use fault_model::{
     default_fault_model, injectable_operand, parse_fault_model, BurstFlip, EccWord, FaultCtx,
     FaultModel, InstSkip, SingleBitFlip, StoreAddr, WrongBranch, DEFAULT_ECC_WINDOW, DEFAULT_MODEL,
 };
 pub use per_inst::{cdf, per_instruction_scores, InstScore};
 pub use propagation::{
-    operand_range, propagate, propagate_parallel, propagate_scoped, Constraint, CrashMap,
-    CrashScope,
+    operand_range, propagate, propagate_scoped, Constraint, CrashMap, CrashScope,
 };
 pub use range::ValueRange;
 pub use sampling::{repetitiveness_variance, sampled_epvf, SamplingEstimate};

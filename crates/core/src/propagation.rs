@@ -148,26 +148,6 @@ impl CrashMap {
         entry.range = entry.range.intersect(range);
     }
 
-    /// Merge another map into this one by constraint intersection — the
-    /// reduction step of the parallel propagation of §VI-A ("threads can be
-    /// assigned to one backward slice each with minimum coordination").
-    pub fn merge(&mut self, other: CrashMap) {
-        for (k, c) in other.uses {
-            let e = self.uses.entry(k).or_insert(Constraint {
-                range: ValueRange::FULL,
-                ..c
-            });
-            e.range = e.range.intersect(c.range);
-        }
-        for (k, c) in other.nodes {
-            let e = self.nodes.entry(k).or_insert(Constraint {
-                range: ValueRange::FULL,
-                ..c
-            });
-            e.range = e.range.intersect(c.range);
-        }
-    }
-
     /// Insert a use constraint verbatim (compositional replay: the recorded
     /// final state of a cached section is re-applied without re-walking).
     pub(crate) fn set_use(&mut self, dyn_idx: u64, slot: usize, c: Constraint) {
@@ -242,12 +222,12 @@ impl PropSink<'_> {
 }
 
 /// Per-static-instruction lookup used while walking the trace.
-pub(crate) struct InstIndex<'m> {
+struct InstIndex<'m> {
     by_sid: Vec<Option<&'m Inst>>,
 }
 
 impl<'m> InstIndex<'m> {
-    pub(crate) fn new(module: &'m Module) -> Self {
+    fn new(module: &'m Module) -> Self {
         let mut by_sid: Vec<Option<&'m Inst>> = vec![None; module.n_static_insts as usize];
         for f in &module.functions {
             for inst in f.insts() {
@@ -260,7 +240,7 @@ impl<'m> InstIndex<'m> {
         InstIndex { by_sid }
     }
 
-    pub(crate) fn get(&self, sid: StaticInstId) -> &'m Inst {
+    fn get(&self, sid: StaticInstId) -> &'m Inst {
         self.by_sid
             .get(sid.index())
             .copied()
@@ -461,139 +441,114 @@ pub fn propagate_scoped(
     scope: CrashScope,
 ) -> CrashMap {
     let _span = epvf_telemetry::span(epvf_telemetry::Tmr::CorePropagate);
-    let index = InstIndex::new(module);
     let mut map = CrashMap::default();
-    run_over(
-        module,
-        trace,
-        ddg,
-        ace,
-        config,
-        scope,
-        &index,
-        &mut PropSink {
-            map: &mut map,
-            touched: None,
-        },
-        0..trace.len() as u64,
-    );
+    let mut walk = Walk::new(module, trace, ddg);
+    let mut sink = PropSink {
+        map: &mut map,
+        touched: None,
+    };
+    for root in roots(trace, ddg, ace, config, scope, 0..trace.len() as u64) {
+        walk.root(&mut sink, root);
+    }
     map
 }
 
-/// Parallel variant of [`propagate`] (paper §VI-A): the trace is split into
-/// contiguous chunks, each worker propagates its own accesses into a local
-/// `CrashMap`, and the results are merged by constraint intersection.
-///
-/// The merged result is the same constraint system as the serial one up to
-/// interval-rounding at `mul`/`div` inversions (the serial pass may derive a
-/// marginally tighter range when constraints from different accesses meet
-/// *before* such an inversion); in practice the maps coincide.
-pub fn propagate_parallel(
-    module: &Module,
-    trace: &Trace,
-    ddg: &Ddg,
-    ace: &AceGraph,
-    config: CrashModelConfig,
-    threads: usize,
-) -> CrashMap {
-    // Thread-count resolution: the explicit argument wins; 0 defers to
-    // `config.threads`; if that is 0 too, use the machine's parallelism.
-    let threads = match (threads, config.threads) {
-        (0, 0) => std::thread::available_parallelism().map_or(1, |n| n.get()),
-        (0, t) => t,
-        (t, _) => t,
-    };
-    if threads == 1 || trace.len() < config.parallel_cutoff {
-        return propagate(module, trace, ddg, ace, config);
-    }
-    let _span = epvf_telemetry::span(epvf_telemetry::Tmr::CorePropagate);
-    let index = InstIndex::new(module);
-    let chunk = (trace.len() as u64).div_ceil(threads as u64);
-    let mut maps: Vec<CrashMap> = Vec::new();
-    crossbeam::scope(|scope| {
-        let mut handles = Vec::new();
-        for t in 0..threads as u64 {
-            let lo = t * chunk;
-            let hi = ((t + 1) * chunk).min(trace.len() as u64);
-            let index = &index;
-            handles.push(scope.spawn(move |_| {
-                let mut local = CrashMap::default();
-                run_over(
-                    module,
-                    trace,
-                    ddg,
-                    ace,
-                    config,
-                    CrashScope::AceOnly,
-                    index,
-                    &mut PropSink {
-                        map: &mut local,
-                        touched: None,
-                    },
-                    lo..hi,
-                );
-                local
-            }));
-        }
-        for h in handles {
-            maps.push(h.join().expect("propagation worker panicked"));
-        }
-    })
-    .expect("crossbeam scope");
-    let mut out = CrashMap::default();
-    for m in maps {
-        out.merge(m);
-    }
-    out
+/// One propagation root: a memory access whose address seeds a backward
+/// slice, with the valid range the crash model gives that address.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Root {
+    /// Dynamic index of the access record.
+    pub idx: u64,
+    /// The DDG node the access defines.
+    pub def: NodeId,
+    /// `CHECK_BOUNDARY` of the access.
+    pub range: ValueRange,
 }
 
-/// Algorithm 1 over the accesses whose dynamic index lies in `range_of_recs`.
-///
-/// `pub(crate)` for the compositional engine (`compose`), which runs it one
-/// section-run at a time over a shared sink: because the worklist `queue` is
-/// created locally and fully drained per access, splitting a range into
-/// consecutive sub-ranges executes the identical operation sequence — which
-/// is what makes composed-cold equal monolithic by construction.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_over(
-    module: &Module,
-    trace: &Trace,
-    ddg: &Ddg,
-    ace: &AceGraph,
+/// The roots among the records in `recs`, in trace order: every load/store
+/// that defines a DDG node (an ACE node under [`CrashScope::AceOnly`]). Each
+/// root's boundary is computed here and nowhere else, so the monolithic pass
+/// and the compositional engine — which also hashes the ranges into its
+/// cache keys — evaluate `CHECK_BOUNDARY` once per access.
+pub(crate) fn roots<'a>(
+    trace: &'a Trace,
+    ddg: &'a Ddg,
+    ace: &'a AceGraph,
     config: CrashModelConfig,
     scope: CrashScope,
-    index: &InstIndex<'_>,
-    sink: &mut PropSink<'_>,
-    range_of_recs: std::ops::Range<u64>,
-) {
-    let mut queue: Vec<NodeId> = Vec::new();
-    for idx in range_of_recs {
-        let rec = trace.get(idx).expect("record in range");
-        let Some(mem) = rec.mem.as_ref() else {
-            continue;
-        };
-        let Some(def_node) = ddg.def_of_record(rec.idx) else {
-            continue;
-        };
-        if scope == CrashScope::AceOnly && !ace.contains(def_node) {
-            continue;
+    recs: std::ops::Range<u64>,
+) -> impl Iterator<Item = Root> + 'a {
+    recs.filter_map(move |idx| {
+        let mem = trace.get(idx).expect("record in range").mem.as_ref()?;
+        let def = ddg.def_of_record(idx)?;
+        if scope == CrashScope::AceOnly && !ace.contains(def) {
+            return None;
         }
+        Some(Root {
+            idx,
+            def,
+            range: check_boundary(mem, config),
+        })
+    })
+}
+
+/// The per-root walk of Algorithm 1, shared by the monolithic pass and the
+/// compositional engine (`compose`). The worklist is fully drained per
+/// root, so feeding the roots of consecutive trace ranges into one sink
+/// executes the identical sequence of map operations as feeding them all at
+/// once — which is what makes composed-cold equal monolithic by
+/// construction.
+pub(crate) struct Walk<'a> {
+    module: &'a Module,
+    trace: &'a Trace,
+    ddg: &'a Ddg,
+    index: InstIndex<'a>,
+    queue: Vec<NodeId>,
+}
+
+impl<'a> Walk<'a> {
+    pub(crate) fn new(module: &'a Module, trace: &'a Trace, ddg: &'a Ddg) -> Self {
+        Walk {
+            module,
+            trace,
+            ddg,
+            index: InstIndex::new(module),
+            queue: Vec::new(),
+        }
+    }
+
+    /// Constrain `root`'s address use and propagate the bound along its
+    /// backward slice.
+    pub(crate) fn root(&mut self, sink: &mut PropSink<'_>, root: Root) {
         epvf_telemetry::add(epvf_telemetry::Ctr::PropSlicesWalked, 1);
-        let range = check_boundary(mem, config);
+        let rec = self.trace.get(root.idx).expect("root record");
+        let mem = rec.mem.as_ref().expect("root has access");
         let addr_slot = if mem.is_store { 1 } else { 0 };
         let addr_op = rec.operands[addr_slot];
-        sink.constrain_use(rec.idx, addr_slot, range, addr_op.bits, 64);
+        sink.constrain_use(root.idx, addr_slot, root.range, addr_op.bits, 64);
         if addr_op.src.is_some() {
             // Find the Addr-edge dependency of the access node.
-            for &(dep, kind) in &ddg.node(def_node).deps {
+            for &(dep, kind) in &self.ddg.node(root.def).deps {
                 if kind == EdgeKind::Addr
-                    && sink.tighten_node(dep, range, addr_op.bits, ddg.node(dep).bits.max(64))
+                    && sink.tighten_node(
+                        dep,
+                        root.range,
+                        addr_op.bits,
+                        self.ddg.node(dep).bits.max(64),
+                    )
                 {
-                    queue.push(dep);
+                    self.queue.push(dep);
                 }
             }
         }
-        drain(module, trace, ddg, index, sink, &mut queue);
+        drain(
+            self.module,
+            self.trace,
+            self.ddg,
+            &self.index,
+            sink,
+            &mut self.queue,
+        );
     }
 }
 

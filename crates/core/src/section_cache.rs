@@ -158,6 +158,14 @@ impl SectionCache {
         })
     }
 
+    /// Every key held in memory, sorted.
+    #[cfg(test)]
+    pub(crate) fn keys(&self) -> Vec<u64> {
+        let mut keys: Vec<u64> = self.mem.keys().copied().collect();
+        keys.sort_unstable();
+        keys
+    }
+
     /// This cache's hit/miss accounting.
     pub fn stats(&self) -> CacheStats {
         self.stats

@@ -3,16 +3,12 @@
 //! well-typed generator programs, `analyze_compositional` must produce the
 //! *same `CrashMap`* (not just the same scalars) as the monolithic
 //! `analyze`, cold and warm, through an in-memory and a persisted section
-//! cache, and its aggregates must agree with the parallel pass at
-//! `--threads 1` and `4`.
+//! cache.
 //!
 //! `EPVF_COMPOSE_GEN_PROGRAMS` overrides the random-program count
 //! (default 200).
 
-use epvf_core::{
-    analyze, analyze_compositional, analyze_threaded, CrashScope, EpvfConfig, EpvfResult,
-    SectionCache,
-};
+use epvf_core::{analyze, analyze_compositional, CrashScope, EpvfConfig, EpvfResult, SectionCache};
 use epvf_interp::{ExecConfig, Interpreter, Trace};
 use epvf_ir::Module;
 use epvf_oracle::{GenConfig, Recipe};
@@ -118,32 +114,6 @@ fn composed_equals_monolithic_on_every_workload() {
             },
             &format!("{} (all-accesses)", w.name),
         );
-    }
-}
-
-#[test]
-fn composed_agrees_with_threaded_analysis() {
-    // The parallel pass guarantees aggregate (not per-entry) equality with
-    // serial — `crates/core/tests/parallel_propagation.rs` — so the
-    // compositional result must match those aggregates at 1 and 4 threads.
-    for w in extended_suite(Scale::Tiny) {
-        let golden = w.golden();
-        let trace = golden.trace.as_ref().expect("traced");
-        let mut cache = SectionCache::in_memory();
-        let composed = analyze_compositional(&w.module, trace, EpvfConfig::default(), &mut cache);
-        for threads in [1usize, 4] {
-            let par = analyze_threaded(&w.module, trace, EpvfConfig::default(), threads);
-            assert_metrics_eq(
-                &par,
-                &composed,
-                &format!("{} vs --threads {threads}", w.name),
-            );
-            if threads == 1 {
-                // One worker is exactly the serial pass, so the full map
-                // must match, not just the sums.
-                assert_eq!(par.crash_map, composed.crash_map, "{}", w.name);
-            }
-        }
     }
 }
 

@@ -7,7 +7,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
-use crate::metrics::{Ctr, Tmr};
+use crate::metrics::{Combine, Ctr, Tmr};
 use crate::snapshot::{MetricsSnapshot, TimerSnapshot};
 
 /// Number of log₂-nanosecond histogram buckets. Bucket `i` holds samples
@@ -72,11 +72,23 @@ impl Registry {
 
     /// Add `n` to a sum counter.
     pub fn add(&self, c: Ctr, n: u64) {
+        debug_assert_eq!(
+            c.def().combine,
+            Combine::Sum,
+            "{} is a peak gauge",
+            c.def().name
+        );
         self.counters[c.index()].fetch_add(n, Ordering::Relaxed);
     }
 
     /// Raise a peak gauge to at least `v` (for `Combine::Max` counters).
     pub fn peak(&self, c: Ctr, v: u64) {
+        debug_assert_eq!(
+            c.def().combine,
+            Combine::Max,
+            "{} is a sum counter",
+            c.def().name
+        );
         self.counters[c.index()].fetch_max(v, Ordering::Relaxed);
     }
 

@@ -6,12 +6,22 @@
 //! would depend on thread scheduling and the cross-thread invariance
 //! tests could never hold.
 
-use epvf_telemetry::{MetricsSnapshot, Registry, ALL_CTRS, ALL_TMRS};
+use epvf_telemetry::{Combine, MetricsSnapshot, Registry, ALL_CTRS, ALL_TMRS, COUNTER_DEFS};
 use proptest::prelude::*;
 
-/// One recording op: counter slot, amount, and whether to route it
-/// through `peak` instead of `add`.
-type Op = (usize, u64, bool);
+/// One recording op: counter slot and amount.
+type Op = (usize, u64);
+
+/// Record one op the way production code does: `add` on `Sum` counters,
+/// `peak` on `Max` ones. Mixing the two on one slot would not commute
+/// across threads, so the properties could not hold.
+fn record(reg: &Registry, (slot, amount): Op) {
+    let c = ALL_CTRS[slot % ALL_CTRS.len()];
+    match COUNTER_DEFS[c.index()].combine {
+        Combine::Sum => reg.add(c, amount),
+        Combine::Max => reg.peak(c, amount),
+    }
+}
 
 /// Apply one shard's ops on its own thread (the registry API is `&self`,
 /// so recording is concurrent with the other shards) and snapshot it.
@@ -20,13 +30,8 @@ fn record_shards(shards: &[Vec<Op>]) -> Vec<MetricsSnapshot> {
     std::thread::scope(|s| {
         for (reg, ops) in registries.iter().zip(shards) {
             s.spawn(move || {
-                for &(slot, amount, is_peak) in ops {
-                    let c = ALL_CTRS[slot % ALL_CTRS.len()];
-                    if is_peak {
-                        reg.peak(c, amount);
-                    } else {
-                        reg.add(c, amount);
-                    }
+                for &(slot, amount) in ops {
+                    record(reg, (slot, amount));
                     reg.record_ns(ALL_TMRS[slot % ALL_TMRS.len()], amount + 1);
                 }
             });
@@ -42,7 +47,7 @@ fn merged(a: &MetricsSnapshot, b: &MetricsSnapshot) -> MetricsSnapshot {
 }
 
 fn ops() -> impl Strategy<Value = Vec<Op>> {
-    prop::collection::vec((0usize..64, 0u64..1_000_000, any::<bool>()), 0..40)
+    prop::collection::vec((0usize..64, 0u64..1_000_000), 0..40)
 }
 
 proptest! {
@@ -76,25 +81,15 @@ proptest! {
             for chunk in all_ops.chunks(all_ops.len().div_ceil(threads).max(1)) {
                 let concurrent = &concurrent;
                 s.spawn(move || {
-                    for &(slot, amount, is_peak) in chunk {
-                        let c = ALL_CTRS[slot % ALL_CTRS.len()];
-                        if is_peak {
-                            concurrent.peak(c, amount);
-                        } else {
-                            concurrent.add(c, amount);
-                        }
+                    for &op in chunk {
+                        record(concurrent, op);
                     }
                 });
             }
         });
         let sequential = Registry::new();
-        for &(slot, amount, is_peak) in &all_ops {
-            let c = ALL_CTRS[slot % ALL_CTRS.len()];
-            if is_peak {
-                sequential.peak(c, amount);
-            } else {
-                sequential.add(c, amount);
-            }
+        for &op in &all_ops {
+            record(&sequential, op);
         }
         prop_assert_eq!(concurrent.snapshot(), sequential.snapshot());
     }

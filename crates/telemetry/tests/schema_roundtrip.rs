@@ -4,7 +4,7 @@
 //! their lines (the NDJSON contract), and documents from any other
 //! schema or version must be rejected, not mis-read.
 
-use epvf_telemetry::{Ctr, MetricsReport, Registry, Tmr, ALL_CTRS, SCHEMA_VERSION};
+use epvf_telemetry::{Combine, Ctr, MetricsReport, Registry, Tmr, ALL_CTRS, SCHEMA_VERSION};
 use std::path::PathBuf;
 
 fn tmp_path(name: &str) -> PathBuf {
@@ -16,7 +16,11 @@ fn tmp_path(name: &str) -> PathBuf {
 fn sample(seed: u64) -> MetricsReport {
     let r = Registry::new();
     for (i, &c) in ALL_CTRS.iter().enumerate() {
-        r.add(c, seed.wrapping_mul(i as u64 + 1) % 10_000);
+        let v = seed.wrapping_mul(i as u64 + 1) % 10_000;
+        match c.def().combine {
+            Combine::Sum => r.add(c, v),
+            Combine::Max => r.peak(c, v),
+        }
     }
     r.peak(Ctr::AceFrontierPeak, seed + 7);
     r.record_ns(Tmr::DdgBuild, seed + 1);
