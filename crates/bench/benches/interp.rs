@@ -8,12 +8,12 @@ use epvf_workloads::{mm, Scale};
 fn bench_interp(c: &mut Criterion) {
     let w = mm::build(Scale::Tiny);
     let interp = Interpreter::new(&w.module, ExecConfig::default());
-    let golden = interp.run("main", &w.args).expect("runs");
+    let golden = interp.run("main", &w.args, None).expect("runs");
 
     let mut g = c.benchmark_group("interp");
     g.throughput(Throughput::Elements(golden.dyn_insts));
     g.bench_function("untraced_run/mm_tiny", |b| {
-        b.iter(|| interp.run("main", &w.args).expect("runs"))
+        b.iter(|| interp.run("main", &w.args, None).expect("runs"))
     });
     g.bench_function("traced_run/mm_tiny", |b| {
         b.iter(|| interp.golden_run("main", &w.args).expect("runs"))
@@ -21,14 +21,17 @@ fn bench_interp(c: &mut Criterion) {
     g.bench_function("injected_run/mm_tiny", |b| {
         b.iter(|| {
             interp
-                .run_injected(
+                .run(
                     "main",
                     &w.args,
-                    InjectionSpec {
-                        dyn_idx: golden.dyn_insts / 2,
-                        operand_slot: 0,
-                        bit: 3,
-                    },
+                    Some(
+                        InjectionSpec {
+                            dyn_idx: golden.dyn_insts / 2,
+                            operand_slot: 0,
+                            bit: 3,
+                        }
+                        .into(),
+                    ),
                 )
                 .expect("runs")
         })

@@ -60,14 +60,17 @@ fn main() {
             }
             cases += 1;
             let fi = interp
-                .run_injected(
+                .run(
                     "main",
                     &[],
-                    InjectionSpec {
-                        dyn_idx: rec.idx,
-                        operand_slot: slot,
-                        bit,
-                    },
+                    Some(
+                        InjectionSpec {
+                            dyn_idx: rec.idx,
+                            operand_slot: slot,
+                            bit,
+                        }
+                        .into(),
+                    ),
                 )
                 .expect("runs");
             let crashed = fi.outcome.is_crash();

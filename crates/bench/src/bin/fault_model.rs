@@ -1,76 +1,38 @@
-//! Fault-model ablation: source-register reads (the paper's model; one use
-//! corrupted) vs destination-register writes (LLFI's default; the corrupted
-//! value persists for all later uses). The two models sample different
+//! Fault-model ablation: source-register reads (the paper's model,
+//! `bitflip`; one use corrupted) vs destination-register writes (LLFI's
+//! default, `dest`; the corrupted value persists for all later uses). Both
+//! run as ordinary campaigns through the pluggable
+//! [`epvf_core::FaultModel`] layer. The two models sample different
 //! universes: reads over-weight address registers (an address is *read* at
 //! every access but written once), writes over-weight data values — so the
 //! choice of model visibly shifts the crash/SDC balance.
 
-use epvf_bench::{analyze_workload, pct, print_table, HarnessOpts};
-use epvf_interp::{ExecConfig, FaultTarget, Interpreter, MultiBitSpec, Outcome};
+use epvf_bench::{pct, print_table, HarnessOpts};
+use epvf_core::parse_fault_model;
+use epvf_llfi::Campaign;
 use epvf_workloads::Workload;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 fn main() {
     let opts = HarnessOpts::from_args();
     let mut rows = Vec::new();
     for w in opts.workloads() {
-        let a = analyze_workload(&w);
-        let golden = a.golden().clone();
-        let trace = golden.trace.as_ref().expect("traced");
-        let interp = Interpreter::new(
-            &w.module,
-            ExecConfig {
-                max_dyn_insts: golden.dyn_insts * 10 + 10_000,
-                ..ExecConfig::default()
-            },
-        );
-        let mut rng = StdRng::seed_from_u64(opts.seed);
-
-        // Source-operand faults: uniform over (register read, bit).
-        let src_specs: Vec<MultiBitSpec> = (0..opts.runs)
-            .map(|_| a.campaign.sites().sample(&mut rng).into())
-            .collect();
-        // Destination faults: uniform over (register write, bit).
-        let defs: Vec<(u64, u32)> = trace
-            .iter()
-            .filter_map(|r| {
-                let (reg, _, _) = r.result?;
-                let ty = w.module.functions[r.func.index()].value_types[reg.index()];
-                Some((r.idx, ty.bits()))
-            })
-            .collect();
-        let dst_specs: Vec<MultiBitSpec> = (0..opts.runs)
-            .map(|_| {
-                let (idx, width) = defs[rng.gen_range(0..defs.len())];
-                MultiBitSpec {
-                    dyn_idx: idx,
-                    target: FaultTarget::Result,
-                    mask: 1u64 << rng.gen_range(0..width),
-                }
-            })
-            .collect();
-
         let mut cells = vec![w.name.to_string()];
-        for specs in [&src_specs, &dst_specs] {
-            let (mut crash, mut sdc, mut benign) = (0usize, 0usize, 0usize);
-            for s in specs {
-                let r = interp
-                    .run_injected_multibit(Workload::ENTRY, &w.args, *s)
-                    .expect("runs");
-                match r.outcome {
-                    Outcome::Crashed { .. } => crash += 1,
-                    Outcome::Completed if r.outputs_match_printed(&golden) => benign += 1,
-                    Outcome::Completed => sdc += 1,
-                    _ => {}
-                }
-            }
-            let n = specs.len().max(1) as f64;
+        for model_str in ["bitflip", "dest"] {
+            let model = parse_fault_model(model_str).expect("shipped model parses");
+            let campaign = Campaign::with_model(
+                &w.module,
+                Workload::ENTRY,
+                &w.args,
+                opts.campaign_config(),
+                model,
+            )
+            .expect("golden run completes");
+            let res = campaign.run(opts.runs, opts.seed);
             cells.push(format!(
                 "{}/{}/{}",
-                pct(crash as f64 / n),
-                pct(sdc as f64 / n),
-                pct(benign as f64 / n)
+                pct(res.crash_rate()),
+                pct(res.sdc_rate()),
+                pct(res.benign_rate())
             ));
         }
         rows.push(cells);

@@ -50,9 +50,9 @@ fn main() {
         );
         let (mut benign, mut sdc, mut crash, mut lucky, mut ybranch, mut other) =
             (0usize, 0, 0, 0, 0, 0);
-        for s in &specs {
+        for &s in &specs {
             let r = traced
-                .run_injected(Workload::ENTRY, &w.args, *s)
+                .run(Workload::ENTRY, &w.args, Some(s.into()))
                 .expect("runs");
             match r.outcome {
                 Outcome::Crashed { .. }

@@ -373,7 +373,8 @@ usage: epvf <command> [args]
                                default 0.02)
     --pilot N                  pilot draws per stratum (default 16)
     --batch N                  max runs allocated per round (default 256)
-    --fault-model M            fault model: bitflip (default), burst[:N]
+    --fault-model M            fault model: bitflip (default), dest
+                               (destination-register flip), burst[:N]
                                (N adjacent flips, default 2), skip
                                (instruction skip), wrong-branch,
                                store-addr, ecc[:W] (SEC-DED memory word,
@@ -561,7 +562,7 @@ fn cmd_dump(t: Target, _rest: &[String]) -> Result<(), CliError> {
 
 fn cmd_run(t: Target, _rest: &[String]) -> Result<(), CliError> {
     let r = Interpreter::new(&t.module, ExecConfig::default())
-        .run(Workload::ENTRY, &t.args)
+        .run(Workload::ENTRY, &t.args, None)
         .map_err(CliError::campaign)?;
     println!("outcome      : {}", r.outcome);
     println!("dyn IR insts : {}", r.dyn_insts);

@@ -73,6 +73,11 @@ fn snapshot_model(model: &str, snapshot: &str) {
 }
 
 #[test]
+fn dest_model_is_byte_stable() {
+    snapshot_model("dest", "inject-mm-tiny-dest.txt");
+}
+
+#[test]
 fn burst_model_is_byte_stable() {
     snapshot_model("burst:3", "inject-mm-tiny-burst3.txt");
 }

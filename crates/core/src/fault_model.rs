@@ -26,7 +26,7 @@
 
 use crate::classify::OperandKind;
 use epvf_interp::{DynInst, FaultEffect, InjectionSpec, MachineFault};
-use epvf_ir::{Module, Op, StaticInstId, Value};
+use epvf_ir::{Module, Op, StaticInstId, Type, Value};
 use std::fmt;
 use std::sync::Arc;
 
@@ -131,8 +131,8 @@ pub trait FaultModel: fmt::Debug + Send + Sync {
 }
 
 /// The paper's model: one bit of one live register-operand read (§IV-A).
-/// Lowering matches the legacy `InjectionSpec → MultiBitSpec` conversion
-/// exactly, so campaigns under this model are byte-identical to the
+/// Lowering is the interpreter's own `InjectionSpec → MachineFault`
+/// conversion, so campaigns under this model are byte-identical to the
 /// pre-trait pipeline.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SingleBitFlip;
@@ -150,13 +150,50 @@ impl FaultModel for SingleBitFlip {
     }
 
     fn lower(&self, spec: InjectionSpec, _width: u32) -> MachineFault {
+        spec.into()
+    }
+}
+
+/// LLFI's default model: one bit of one instruction's *result* flips as it
+/// is written to the destination register, so every later use sees it.
+/// One site per value-defining dynamic instruction (slot 0); points are
+/// the result's bits. Address registers are written once but read at
+/// every access, so this universe weights data values more heavily than
+/// the paper's source-read model does.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct DestFlip;
+
+impl DestFlip {
+    /// Type of the value `rec` defines, if any.
+    fn result_ty(module: &Module, rec: &DynInst) -> Option<Type> {
+        let (reg, _, _) = rec.result?;
+        Some(module.functions[rec.func.index()].value_types[reg.index()])
+    }
+}
+
+impl FaultModel for DestFlip {
+    fn name(&self) -> String {
+        "dest".to_string()
+    }
+
+    fn points(&self, _ctx: &FaultCtx, module: &Module, rec: &DynInst, slot: usize) -> Option<u32> {
+        if slot != 0 {
+            return None;
+        }
+        Self::result_ty(module, rec).map(Type::bits)
+    }
+
+    fn lower(&self, spec: InjectionSpec, _width: u32) -> MachineFault {
         MachineFault {
             dyn_idx: spec.dyn_idx,
-            effect: FaultEffect::OperandXor {
-                slot: spec.operand_slot,
+            effect: FaultEffect::ResultXor {
                 mask: 1u64 << (spec.bit & 63),
             },
         }
+    }
+
+    fn operand_kind(&self, module: &Module, rec: &DynInst, _slot: usize) -> OperandKind {
+        Self::result_ty(module, rec).map_or(OperandKind::Int, OperandKind::of)
     }
 }
 
@@ -321,8 +358,8 @@ pub fn default_fault_model() -> Arc<dyn FaultModel> {
     Arc::new(SingleBitFlip)
 }
 
-/// Parse a `name[:params]` model string: `bitflip`, `burst[:BITS]`,
-/// `skip`, `wrong-branch`, `store-addr`, `ecc[:WINDOW]`.
+/// Parse a `name[:params]` model string: `bitflip`, `dest`,
+/// `burst[:BITS]`, `skip`, `wrong-branch`, `store-addr`, `ecc[:WINDOW]`.
 ///
 /// # Errors
 /// A human-readable message naming the valid models or the bad parameter.
@@ -341,6 +378,7 @@ pub fn parse_fault_model(s: &str) -> Result<Arc<dyn FaultModel>, String> {
     };
     match name {
         "bitflip" => no_param(Arc::new(SingleBitFlip)),
+        "dest" => no_param(Arc::new(DestFlip)),
         "skip" => no_param(Arc::new(InstSkip)),
         "wrong-branch" => no_param(Arc::new(WrongBranch)),
         "store-addr" => no_param(Arc::new(StoreAddr)),
@@ -365,7 +403,7 @@ pub fn parse_fault_model(s: &str) -> Result<Arc<dyn FaultModel>, String> {
             Ok(Arc::new(EccWord { window }))
         }
         _ => Err(format!(
-            "unknown fault model `{name}` (expected bitflip, burst[:BITS], \
+            "unknown fault model `{name}` (expected bitflip, dest, burst[:BITS], \
              skip, wrong-branch, store-addr, or ecc[:WINDOW])"
         )),
     }
@@ -374,12 +412,12 @@ pub fn parse_fault_model(s: &str) -> Result<Arc<dyn FaultModel>, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use epvf_interp::MultiBitSpec;
 
     #[test]
     fn parse_round_trips_canonical_names() {
         for s in [
             "bitflip",
+            "dest",
             "burst:2",
             "burst:8",
             "skip",
@@ -409,21 +447,31 @@ mod tests {
         assert!(parse_fault_model("ecc:0").is_err());
         assert!(parse_fault_model("skip:3").is_err());
         assert!(parse_fault_model("bitflip:1").is_err());
+        assert!(parse_fault_model("dest:1").is_err());
     }
 
     #[test]
     fn default_lowering_matches_legacy_conversion() {
         // The byte-identical guarantee for the default model rests on this:
-        // SingleBitFlip::lower == the InjectionSpec → MultiBitSpec → fault
-        // conversion the pre-trait pipeline used.
+        // SingleBitFlip::lower is the pre-trait pipeline's conversion, one
+        // bit of the read in the spec's slot at its dynamic index, whatever
+        // the site width.
         for (dyn_idx, slot, bit) in [(0u64, 0usize, 0u8), (17, 1, 63), (9999, 2, 31)] {
             let spec = InjectionSpec {
                 dyn_idx,
                 operand_slot: slot,
                 bit,
             };
-            let legacy: MachineFault = MultiBitSpec::from(spec).into();
-            assert_eq!(SingleBitFlip.lower(spec, 64), legacy);
+            let want = MachineFault {
+                dyn_idx,
+                effect: FaultEffect::OperandXor {
+                    slot,
+                    mask: 1 << bit,
+                },
+            };
+            for width in [1, 32, 64] {
+                assert_eq!(SingleBitFlip.lower(spec, width), want);
+            }
         }
     }
 

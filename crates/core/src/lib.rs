@@ -65,8 +65,9 @@ pub use compose::analyze_compositional;
 pub use crash_model::{check_boundary, CrashModelConfig};
 pub use epvf::{analyze, compute_metrics, trace_use_bits, EpvfConfig, EpvfMetrics, EpvfResult};
 pub use fault_model::{
-    default_fault_model, injectable_operand, parse_fault_model, BurstFlip, EccWord, FaultCtx,
-    FaultModel, InstSkip, SingleBitFlip, StoreAddr, WrongBranch, DEFAULT_ECC_WINDOW, DEFAULT_MODEL,
+    default_fault_model, injectable_operand, parse_fault_model, BurstFlip, DestFlip, EccWord,
+    FaultCtx, FaultModel, InstSkip, SingleBitFlip, StoreAddr, WrongBranch, DEFAULT_ECC_WINDOW,
+    DEFAULT_MODEL,
 };
 pub use per_inst::{cdf, per_instruction_scores, InstScore};
 pub use propagation::{

@@ -11,9 +11,12 @@
 //!   per-access memory-map snapshots — the input to the DDG/ACE analysis and
 //!   to the crash model's `CHECK_BOUNDARY`.
 //!
-//! Single-bit faults are injected with [`InjectionSpec`]: at a chosen dynamic
-//! instruction, one bit of one source-operand read is flipped — the LLFI
-//! fault model the paper validates against (§II-B, §IV-A).
+//! Faults are injected as a [`MachineFault`] passed to [`Interpreter::run`]
+//! (from the entry function) or [`Interpreter::replay`] (from a checkpoint
+//! [`Snapshot`]). The paper's single-bit fault is an [`InjectionSpec`]: at a
+//! chosen dynamic instruction, one bit of one source-operand read is
+//! flipped — the LLFI fault model the paper validates against (§II-B,
+//! §IV-A).
 //!
 //! ```
 //! use epvf_interp::{ExecConfig, InjectionSpec, Interpreter, Outcome};
@@ -37,11 +40,8 @@
 //! // Flip a high bit of the store address → segfault, exactly what the
 //! // ePVF crash model is built to predict.
 //! let store_dyn = 1; // malloc=0, store=1, …
-//! let fi = interp.run_injected(
-//!     "main",
-//!     &[],
-//!     InjectionSpec { dyn_idx: store_dyn, operand_slot: 1, bit: 46 },
-//! )?;
+//! let spec = InjectionSpec { dyn_idx: store_dyn, operand_slot: 1, bit: 46 };
+//! let fi = interp.run("main", &[], Some(spec.into()))?;
 //! assert!(matches!(fi.outcome, Outcome::Crashed { .. }));
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
@@ -53,8 +53,8 @@ mod outcome;
 mod trace;
 
 pub use machine::{
-    ExecConfig, ExecError, FaultEffect, FaultTarget, InjectionSpec, Interpreter, MachineFault,
-    MultiBitSpec, ReplayOutcome, Snapshot, DEADLINE_CHECK_STRIDE,
+    ExecConfig, ExecError, FaultEffect, InjectionSpec, Interpreter, MachineFault, ReplayOutcome,
+    Snapshot, DEADLINE_CHECK_STRIDE,
 };
 pub use outcome::{CrashKind, Outcome, RunResult, TimeoutKind};
 pub use trace::{section_runs, DynInst, DynValueId, MemAccessRec, OperandRec, SectionRun, Trace};

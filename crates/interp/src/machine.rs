@@ -1,11 +1,10 @@
 //! The IR interpreter.
 //!
 //! Executes a verified [`Module`] over [`SimMemory`], producing a
-//! [`RunResult`] and (optionally) a full dynamic [`Trace`]. A single-bit
-//! fault can be injected into any source-register read via
-//! [`InjectionSpec`] — the LLFI fault model of the paper (§IV-A: "inject
-//! faults into the source registers for the executed instructions ... all
-//! faults are activated").
+//! [`RunResult`] and (optionally) a full dynamic [`Trace`]. Every entry
+//! point takes an optional [`MachineFault`]; the paper's LLFI fault (§IV-A:
+//! "inject faults into the source registers for the executed instructions
+//! ... all faults are activated") is the lowering of an [`InjectionSpec`].
 
 use crate::outcome::{CrashKind, Outcome, RunResult, TimeoutKind};
 use crate::trace::{DynInst, DynValueId, MemAccessRec, OperandRec, Trace};
@@ -120,41 +119,6 @@ impl std::str::FromStr for InjectionSpec {
     }
 }
 
-/// Where a generalized fault lands within the target instruction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
-pub enum FaultTarget {
-    /// Corrupt one source-operand read — the paper's model ("inject faults
-    /// into the source registers"). The flip affects only this read.
-    Operand(usize),
-    /// Corrupt the instruction's *result* as it is written — LLFI's default
-    /// destination-register model. The flip persists for every later use of
-    /// the defined value.
-    Result,
-}
-
-/// A generalized fault: like [`InjectionSpec`] but with an arbitrary XOR
-/// mask (the §II-E multi-bit extension) and a choice of source- vs
-/// destination-register corruption.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
-pub struct MultiBitSpec {
-    /// Dynamic index of the target instruction.
-    pub dyn_idx: u64,
-    /// Where the corruption lands.
-    pub target: FaultTarget,
-    /// XOR mask applied to the value (pre-masked to its width).
-    pub mask: u64,
-}
-
-impl From<InjectionSpec> for MultiBitSpec {
-    fn from(s: InjectionSpec) -> Self {
-        MultiBitSpec {
-            dyn_idx: s.dyn_idx,
-            target: FaultTarget::Operand(s.operand_slot),
-            mask: 1u64 << (s.bit & 63),
-        }
-    }
-}
-
 /// The machine-level effect of one lowered fault. `FaultModel`s (in
 /// `epvf-core`) enumerate abstract `(dyn, slot, bit)` specs and lower each
 /// to one of these; the interpreter applies the effect at `dyn_idx` and
@@ -203,8 +167,8 @@ pub enum FaultEffect {
 }
 
 /// A fully lowered fault: one [`FaultEffect`] fired at one dynamic
-/// instruction. This is what the injection entry points actually execute;
-/// [`InjectionSpec`] and [`MultiBitSpec`] convert into it.
+/// instruction. This is all the interpreter's entry points accept; fault
+/// models (in `epvf-core`) lower their abstract specs to it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MachineFault {
     /// Dynamic index of the target instruction (0-based trace position).
@@ -213,21 +177,18 @@ pub struct MachineFault {
     pub effect: FaultEffect,
 }
 
-impl From<MultiBitSpec> for MachineFault {
-    fn from(s: MultiBitSpec) -> Self {
+impl From<InjectionSpec> for MachineFault {
+    /// The paper's fault: flip `spec.bit` of one source-operand read. This
+    /// is the single definition of the single-bit lowering; the default
+    /// fault model delegates to it.
+    fn from(s: InjectionSpec) -> Self {
         MachineFault {
             dyn_idx: s.dyn_idx,
-            effect: match s.target {
-                FaultTarget::Operand(slot) => FaultEffect::OperandXor { slot, mask: s.mask },
-                FaultTarget::Result => FaultEffect::ResultXor { mask: s.mask },
+            effect: FaultEffect::OperandXor {
+                slot: s.operand_slot,
+                mask: 1u64 << (s.bit & 63),
             },
         }
-    }
-}
-
-impl From<InjectionSpec> for MachineFault {
-    fn from(s: InjectionSpec) -> Self {
-        MultiBitSpec::from(s).into()
     }
 }
 
@@ -258,9 +219,10 @@ impl fmt::Display for ExecError {
 
 impl std::error::Error for ExecError {}
 
-/// The interpreter. Stateless across runs: each `run*` call executes on a
-/// fresh simulated address space, which is what makes golden and injected
-/// runs byte-identical up to the injection point.
+/// The interpreter. Stateless across runs: each run from the entry
+/// function executes on a fresh simulated address space, which is what
+/// makes golden and injected runs byte-identical up to the injection
+/// point.
 ///
 /// # Examples
 ///
@@ -277,7 +239,7 @@ impl std::error::Error for ExecError {}
 /// let module = mb.finish()?;
 ///
 /// let interp = Interpreter::new(&module, ExecConfig::default());
-/// let result = interp.run("main", &[])?;
+/// let result = interp.run("main", &[], None)?;
 /// assert_eq!(result.outcome, Outcome::Completed);
 /// assert_eq!(result.outputs, vec![42]);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
@@ -299,15 +261,23 @@ impl<'m> Interpreter<'m> {
         self.module
     }
 
-    /// Run `entry(args…)` fault-free.
+    /// Run `entry(args…)` from the start on a fresh address space, with
+    /// `fault` injected if one is given — the one way in. Faulted runs are
+    /// timed under [`Tmr::InterpInjectedRun`].
     ///
     /// # Errors
     /// [`ExecError`] on unknown entry or arity mismatch.
-    pub fn run(&self, entry: &str, args: &[u64]) -> Result<RunResult, ExecError> {
-        self.run_inner(entry, args, None)
+    pub fn run(
+        &self,
+        entry: &str,
+        args: &[u64],
+        fault: Option<MachineFault>,
+    ) -> Result<RunResult, ExecError> {
+        let _span = fault.map(|_| epvf_telemetry::span(Tmr::InterpInjectedRun));
+        Exec::new(self.module, self.config, fault).run(entry, args)
     }
 
-    /// Run with a full dynamic trace regardless of
+    /// Run fault-free with a full dynamic trace regardless of
     /// [`ExecConfig::record_trace`] — the golden run of the ePVF pipeline.
     ///
     /// # Errors
@@ -344,65 +314,36 @@ impl<'m> Interpreter<'m> {
         Ok((result, snaps))
     }
 
-    /// Resume a fault-free run from `snapshot`, replaying only the suffix.
-    /// The result is identical to the from-scratch run that produced the
-    /// snapshot (the resumed portion never records a trace).
-    pub fn run_from(&self, snapshot: &Snapshot) -> RunResult {
-        let mut exec = Exec::resume(self.module, self.config, snapshot, None);
-        exec.run_resumed_to_result()
-    }
-
-    /// Resume from `snapshot` with a single-bit fault injected, replaying
-    /// only the suffix. The caller must pick a snapshot taken at or before
-    /// the injection point (`snapshot.dyn_count() <= spec.dyn_idx`);
-    /// otherwise the fault can never fire.
-    pub fn run_injected_from(&self, snapshot: &Snapshot, spec: InjectionSpec) -> RunResult {
-        self.run_fault_from(snapshot, spec.into())
-    }
-
-    /// Resume from `snapshot` with a lowered [`MachineFault`] injected,
-    /// replaying only the suffix. The caller must pick a snapshot taken at
-    /// or before the injection point (`snapshot.dyn_count() <=
-    /// fault.dyn_idx`); otherwise the fault can never fire.
-    pub fn run_fault_from(&self, snapshot: &Snapshot, fault: MachineFault) -> RunResult {
-        let _span = epvf_telemetry::span(Tmr::InterpInjectedRun);
-        let mut exec = Exec::resume(self.module, self.config, snapshot, Some(fault));
-        exec.run_resumed_to_result()
-    }
-
-    /// Like [`Self::run_injected_from`], but additionally watches the golden
-    /// checkpoints in `rendezvous` (those strictly after the injection
-    /// point): if the replayed state becomes identical to one of them, the
-    /// deterministic suffix is bit-identical to the golden run and the
-    /// replay ends early with [`ReplayOutcome::Rejoined`] — the fault was
-    /// masked. This is what lets a checkpointed campaign skip most of the
-    /// post-injection work for benign faults.
-    pub fn replay_injected_from(
+    /// Resume from `snapshot`, with `fault` injected if one is given, and
+    /// replay only the suffix — the one way back. The resumed portion never
+    /// records a trace; otherwise the result is identical to [`Self::run`]
+    /// with the same fault. The caller must pick a snapshot taken at or
+    /// before the injection point (`snapshot.dyn_count() <=
+    /// fault.dyn_idx`), or the fault can never fire.
+    ///
+    /// `rendezvous` holds golden checkpoints to watch (pass `&[]` for
+    /// none). Those strictly after the injection point (after `snapshot`
+    /// for a fault-free replay) are armed: if the replayed state becomes
+    /// identical to one of them, the deterministic suffix is bit-identical
+    /// to the golden run and the replay ends early with
+    /// [`ReplayOutcome::Rejoined`] — the fault was masked. Faults with
+    /// lingering state (a pending ECC error) cannot rejoin early because
+    /// [`Snapshot`] comparison includes memory.
+    pub fn replay(
         &self,
         snapshot: &Snapshot,
-        spec: InjectionSpec,
+        fault: Option<MachineFault>,
         rendezvous: &[Snapshot],
     ) -> ReplayOutcome {
-        self.replay_fault_from(snapshot, spec.into(), rendezvous)
-    }
-
-    /// Like [`Self::replay_injected_from`], for an arbitrary lowered
-    /// [`MachineFault`]. Rendezvous is armed strictly after the injection
-    /// point; faults with lingering state (a pending ECC error) cannot
-    /// rejoin early because [`Snapshot`] comparison includes memory.
-    pub fn replay_fault_from(
-        &self,
-        snapshot: &Snapshot,
-        fault: MachineFault,
-        rendezvous: &[Snapshot],
-    ) -> ReplayOutcome {
-        let _span = epvf_telemetry::span(Tmr::InterpInjectedRun);
-        let mut exec = Exec::resume(self.module, self.config, snapshot, Some(fault));
-        exec.rendezvous = Some(Rendezvous {
-            snaps: rendezvous,
-            next: 0,
-            armed_after: fault.dyn_idx,
-        });
+        let _span = fault.map(|_| epvf_telemetry::span(Tmr::InterpInjectedRun));
+        let mut exec = Exec::resume(self.module, self.config, snapshot, fault);
+        if !rendezvous.is_empty() {
+            exec.rendezvous = Some(Rendezvous {
+                snaps: rendezvous,
+                next: 0,
+                armed_after: fault.map_or(snapshot.dyn_count, |f| f.dyn_idx),
+            });
+        }
         match exec.exec_loop() {
             End::Outcome(outcome) => ReplayOutcome::Finished(exec.take_result(outcome)),
             End::Rejoined { at } => {
@@ -410,57 +351,6 @@ impl<'m> Interpreter<'m> {
                 ReplayOutcome::Rejoined { at_dyn: at }
             }
         }
-    }
-
-    /// Run with a single-bit fault injected.
-    ///
-    /// # Errors
-    /// [`ExecError`] on unknown entry or arity mismatch.
-    pub fn run_injected(
-        &self,
-        entry: &str,
-        args: &[u64],
-        spec: InjectionSpec,
-    ) -> Result<RunResult, ExecError> {
-        let _span = epvf_telemetry::span(Tmr::InterpInjectedRun);
-        self.run_inner(entry, args, Some(spec.into()))
-    }
-
-    /// Run with a multi-bit (XOR-mask) fault injected (§II-E extension).
-    ///
-    /// # Errors
-    /// [`ExecError`] on unknown entry or arity mismatch.
-    pub fn run_injected_multibit(
-        &self,
-        entry: &str,
-        args: &[u64],
-        spec: MultiBitSpec,
-    ) -> Result<RunResult, ExecError> {
-        self.run_inner(entry, args, Some(spec.into()))
-    }
-
-    /// Run with an arbitrary lowered [`MachineFault`] injected — the entry
-    /// point pluggable fault models funnel into.
-    ///
-    /// # Errors
-    /// [`ExecError`] on unknown entry or arity mismatch.
-    pub fn run_fault(
-        &self,
-        entry: &str,
-        args: &[u64],
-        fault: MachineFault,
-    ) -> Result<RunResult, ExecError> {
-        let _span = epvf_telemetry::span(Tmr::InterpInjectedRun);
-        self.run_inner(entry, args, Some(fault))
-    }
-
-    fn run_inner(
-        &self,
-        entry: &str,
-        args: &[u64],
-        fault: Option<MachineFault>,
-    ) -> Result<RunResult, ExecError> {
-        Exec::new(self.module, self.config, fault).run(entry, args)
     }
 }
 
@@ -482,7 +372,7 @@ struct Frame {
 /// far, and global placement.
 ///
 /// Snapshots are produced by [`Interpreter::run_with_checkpoints`] and
-/// consumed by the `*_from` resume entry points. They are `Send + Sync`
+/// consumed by [`Interpreter::replay`]. They are `Send + Sync`
 /// (pages are `Arc`'d), so a campaign can resume many injected runs from the
 /// same snapshot across worker threads.
 #[derive(Debug, Clone)]
@@ -504,8 +394,7 @@ impl Snapshot {
     }
 }
 
-/// How a resumed, injected replay ended (see
-/// [`Interpreter::replay_injected_from`]).
+/// How a resumed replay ended (see [`Interpreter::replay`]).
 #[derive(Debug, Clone)]
 pub enum ReplayOutcome {
     /// The run executed to a terminal outcome.
@@ -732,15 +621,6 @@ impl<'m, 'r> Exec<'m, 'r> {
             End::Rejoined { .. } => unreachable!("rendezvous is never set on fresh runs"),
         };
         Ok(self.take_result(outcome))
-    }
-
-    /// Drive a resumed (checkpoint-restored) execution to completion.
-    fn run_resumed_to_result(&mut self) -> RunResult {
-        let outcome = match self.exec_loop() {
-            End::Outcome(o) => o,
-            End::Rejoined { .. } => unreachable!("no rendezvous on this path"),
-        };
-        self.take_result(outcome)
     }
 
     /// Publish this run's locally accumulated telemetry to the global

@@ -1,12 +1,12 @@
 //! Edge-case scalar and system semantics: the dark corners that fault
 //! injection will eventually visit.
 
-use epvf_interp::{CrashKind, ExecConfig, FaultTarget, Interpreter, MultiBitSpec, Outcome};
+use epvf_interp::{CrashKind, ExecConfig, FaultEffect, Interpreter, MachineFault, Outcome};
 use epvf_ir::{IcmpPred, Module, ModuleBuilder, Type, Value};
 
 fn run_outputs(m: &Module, args: &[u64]) -> Vec<u64> {
     let r = Interpreter::new(m, ExecConfig::default())
-        .run("main", args)
+        .run("main", args, None)
         .expect("runs");
     assert_eq!(r.outcome, Outcome::Completed, "{:?}", r.outcome);
     r.outputs
@@ -94,7 +94,7 @@ fn unbounded_recursion_aborts_at_the_stack_limit() {
     main.finish();
     let m = mb.finish().expect("verifies");
     let r = Interpreter::new(&m, ExecConfig::default())
-        .run("main", &[])
+        .run("main", &[], None)
         .expect("runs");
     assert_eq!(
         r.outcome.crash_kind(),
@@ -115,7 +115,7 @@ fn double_free_aborts() {
     f.finish();
     let m = mb.finish().expect("verifies");
     let r = Interpreter::new(&m, ExecConfig::default())
-        .run("main", &[])
+        .run("main", &[], None)
         .expect("runs");
     assert_eq!(r.outcome.crash_kind(), Some(CrashKind::Abort));
 }
@@ -156,27 +156,25 @@ fn result_target_fault_persists_across_uses() {
     let interp = Interpreter::new(&m, ExecConfig::default());
 
     let dest = interp
-        .run_injected_multibit(
+        .run(
             "main",
             &[],
-            MultiBitSpec {
+            Some(MachineFault {
                 dyn_idx: 0,
-                target: FaultTarget::Result,
-                mask: 1,
-            },
+                effect: FaultEffect::ResultXor { mask: 1 },
+            }),
         )
         .expect("runs");
     assert_eq!(dest.outputs, vec![9, 9], "result fault persists");
 
     let src = interp
-        .run_injected_multibit(
+        .run(
             "main",
             &[],
-            MultiBitSpec {
+            Some(MachineFault {
                 dyn_idx: 1,
-                target: FaultTarget::Operand(0),
-                mask: 1,
-            },
+                effect: FaultEffect::OperandXor { slot: 0, mask: 1 },
+            }),
         )
         .expect("runs");
     assert_eq!(src.outputs, vec![9, 8], "operand fault is per-use");
@@ -196,14 +194,13 @@ fn result_fault_on_phi_applies() {
     f.finish();
     let m = mb.finish().expect("verifies");
     let r = Interpreter::new(&m, ExecConfig::default())
-        .run_injected_multibit(
+        .run(
             "main",
             &[],
-            MultiBitSpec {
+            Some(MachineFault {
                 dyn_idx: 1,
-                target: FaultTarget::Result,
-                mask: 2,
-            },
+                effect: FaultEffect::ResultXor { mask: 2 },
+            }),
         )
         .expect("runs");
     assert_eq!(r.outputs, vec![6]);

@@ -2,13 +2,25 @@
 //! tracing, and fault injection.
 
 use epvf_interp::{
-    CrashKind, ExecConfig, ExecError, InjectionSpec, Interpreter, Outcome, RunResult,
+    CrashKind, ExecConfig, ExecError, InjectionSpec, Interpreter, MachineFault, Outcome, RunResult,
 };
 use epvf_ir::{FcmpPred, IcmpPred, Module, ModuleBuilder, Type, Value};
 
+/// The paper's fault: flip `bit` of the operand read in `slot` at `dyn_idx`.
+fn bitflip(dyn_idx: u64, operand_slot: usize, bit: u8) -> Option<MachineFault> {
+    Some(
+        InjectionSpec {
+            dyn_idx,
+            operand_slot,
+            bit,
+        }
+        .into(),
+    )
+}
+
 fn run(module: &Module, entry: &str, args: &[u64]) -> RunResult {
     Interpreter::new(module, ExecConfig::default())
-        .run(entry, args)
+        .run(entry, args, None)
         .expect("setup ok")
 }
 
@@ -279,7 +291,7 @@ fn hang_detection() {
         ..ExecConfig::default()
     };
     let r = Interpreter::new(&m, cfg)
-        .run("main", &[])
+        .run("main", &[], None)
         .expect("setup ok");
     assert_eq!(r.outcome, Outcome::Hang);
 }
@@ -299,11 +311,11 @@ fn setup_errors() {
     let m = loop_sum_module();
     let interp = Interpreter::new(&m, ExecConfig::default());
     assert!(matches!(
-        interp.run("nonexistent", &[]),
+        interp.run("nonexistent", &[], None),
         Err(ExecError::NoSuchFunction(_))
     ));
     assert!(matches!(
-        interp.run("main", &[]),
+        interp.run("main", &[], None),
         Err(ExecError::BadArity {
             expected: 1,
             given: 0
@@ -378,19 +390,9 @@ fn injection_benign_on_untaken_select_operand() {
     f.finish();
     let m = mb.finish().expect("verifies");
     let interp = Interpreter::new(&m, ExecConfig::default());
-    let golden = interp.run("main", &[]).expect("setup ok");
+    let golden = interp.run("main", &[], None).expect("setup ok");
     // slot 2 = the untaken `b` operand of select
-    let fi = interp
-        .run_injected(
-            "main",
-            &[],
-            InjectionSpec {
-                dyn_idx: 0,
-                operand_slot: 2,
-                bit: 5,
-            },
-        )
-        .expect("setup ok");
+    let fi = interp.run("main", &[], bitflip(0, 2, 5)).expect("setup ok");
     assert!(fi.is_benign_vs(&golden));
 }
 
@@ -410,15 +412,7 @@ fn injection_causes_sdc_on_output_operand() {
         })
         .expect("output executed");
     let fi = interp
-        .run_injected(
-            "main",
-            &[4],
-            InjectionSpec {
-                dyn_idx: out_rec.idx,
-                operand_slot: 0,
-                bit: 0,
-            },
-        )
+        .run("main", &[4], bitflip(out_rec.idx, 0, 0))
         .expect("setup ok");
     assert!(fi.is_sdc_vs(&golden));
     assert_eq!(fi.outputs[0], golden.outputs[0] ^ 1);
@@ -435,15 +429,7 @@ fn injection_in_address_high_bit_segfaults() {
     let m = mb.finish().expect("verifies");
     let interp = Interpreter::new(&m, ExecConfig::default());
     let fi = interp
-        .run_injected(
-            "main",
-            &[],
-            InjectionSpec {
-                dyn_idx: 1,
-                operand_slot: 1,
-                bit: 40,
-            },
-        )
+        .run("main", &[], bitflip(1, 1, 40))
         .expect("setup ok");
     assert_eq!(fi.outcome.crash_kind(), Some(CrashKind::Segfault));
 }
@@ -458,17 +444,7 @@ fn injection_in_address_low_bit_misaligns() {
     f.finish();
     let m = mb.finish().expect("verifies");
     let interp = Interpreter::new(&m, ExecConfig::default());
-    let fi = interp
-        .run_injected(
-            "main",
-            &[],
-            InjectionSpec {
-                dyn_idx: 1,
-                operand_slot: 1,
-                bit: 1,
-            },
-        )
-        .expect("setup ok");
+    let fi = interp.run("main", &[], bitflip(1, 1, 1)).expect("setup ok");
     assert_eq!(fi.outcome.crash_kind(), Some(CrashKind::Misaligned));
 }
 
@@ -485,15 +461,7 @@ fn injection_in_malloc_size_aborts() {
     let interp = Interpreter::new(&m, ExecConfig::default());
     // flip bit 62 of the size → astronomically large request → OOM → Abort
     let fi = interp
-        .run_injected(
-            "main",
-            &[64],
-            InjectionSpec {
-                dyn_idx: 0,
-                operand_slot: 0,
-                bit: 62,
-            },
-        )
+        .run("main", &[64], bitflip(0, 0, 62))
         .expect("setup ok");
     assert_eq!(fi.outcome.crash_kind(), Some(CrashKind::Abort));
 }
@@ -517,7 +485,9 @@ fn injected_run_reaches_injection_point() {
         operand_slot: 0,
         bit: 0,
     };
-    let fi = interp.run_injected("main", &[5], spec).expect("setup ok");
+    let fi = interp
+        .run("main", &[5], Some(spec.into()))
+        .expect("setup ok");
     assert!(
         fi.dyn_insts >= spec.dyn_idx,
         "ran at least to the injection point"

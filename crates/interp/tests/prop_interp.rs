@@ -98,7 +98,7 @@ proptest! {
         let module = mb.finish().expect("verifies");
 
         let r = Interpreter::new(&module, ExecConfig::default())
-            .run("main", &[seeds.0, seeds.1])
+            .run("main", &[seeds.0, seeds.1], None)
             .expect("runs");
         prop_assert_eq!(r.outcome, Outcome::Completed);
         prop_assert_eq!(r.outputs[0], expected);
@@ -154,8 +154,8 @@ proptest! {
             operand_slot: 0,
             bit,
         };
-        let a = interp.run_injected("main", &[seeds.0, seeds.1], spec).expect("runs");
-        let b = interp.run_injected("main", &[seeds.0, seeds.1], spec).expect("runs");
+        let a = interp.run("main", &[seeds.0, seeds.1], Some(spec.into())).expect("runs");
+        let b = interp.run("main", &[seeds.0, seeds.1], Some(spec.into())).expect("runs");
         prop_assert_eq!(a, b);
     }
 }

@@ -44,7 +44,7 @@ fn fuel_exhaustion_times_out() {
             ..ExecConfig::default()
         },
     )
-    .run("main", &[100_000])
+    .run("main", &[100_000], None)
     .expect("setup ok");
     assert_eq!(r.outcome, Outcome::TimedOut(TimeoutKind::Fuel));
     // The kill lands exactly at the fuel boundary: deterministic.
@@ -62,7 +62,7 @@ fn fuel_kill_is_deterministic() {
                 ..ExecConfig::default()
             },
         )
-        .run("main", &[100_000])
+        .run("main", &[100_000], None)
         .expect("setup ok")
     };
     let (a, b) = (run(), run());
@@ -74,7 +74,7 @@ fn fuel_kill_is_deterministic() {
 fn generous_fuel_does_not_perturb_the_run() {
     let m = loop_sum_module();
     let plain = Interpreter::new(&m, ExecConfig::default())
-        .run("main", &[10])
+        .run("main", &[10], None)
         .expect("setup ok");
     let fueled = Interpreter::new(
         &m,
@@ -84,7 +84,7 @@ fn generous_fuel_does_not_perturb_the_run() {
             ..ExecConfig::default()
         },
     )
-    .run("main", &[10])
+    .run("main", &[10], None)
     .expect("setup ok");
     assert_eq!(plain.outcome, Outcome::Completed);
     assert_eq!(fueled.outcome, Outcome::Completed);
@@ -105,7 +105,7 @@ fn expired_deadline_times_out_at_a_stride_boundary() {
             ..ExecConfig::default()
         },
     )
-    .run("main", &[iters])
+    .run("main", &[iters], None)
     .expect("setup ok");
     assert_eq!(r.outcome, Outcome::TimedOut(TimeoutKind::Deadline));
     assert!(
@@ -127,7 +127,7 @@ fn short_run_outlives_a_zero_deadline() {
             ..ExecConfig::default()
         },
     )
-    .run("main", &[4])
+    .run("main", &[4], None)
     .expect("setup ok");
     assert_eq!(r.outcome, Outcome::Completed);
 }
@@ -145,7 +145,7 @@ fn fuel_wins_over_hang_classification() {
             ..ExecConfig::default()
         },
     )
-    .run("main", &[100_000])
+    .run("main", &[100_000], None)
     .expect("setup ok");
     assert_eq!(r.outcome, Outcome::TimedOut(TimeoutKind::Fuel));
 
@@ -156,7 +156,7 @@ fn fuel_wins_over_hang_classification() {
             ..ExecConfig::default()
         },
     )
-    .run("main", &[100_000])
+    .run("main", &[100_000], None)
     .expect("setup ok");
     assert_eq!(r.outcome, Outcome::Hang);
 }
@@ -172,7 +172,7 @@ fn poison_hook_panics_at_the_requested_instruction() {
                 ..ExecConfig::default()
             },
         )
-        .run("main", &[100_000])
+        .run("main", &[100_000], None)
     });
     let payload = result.expect_err("poisoned run panics");
     let msg = payload

@@ -81,10 +81,10 @@ fn round_trip_preserves_behaviour() {
     let parsed = parse_module(&m.to_string()).expect("parses");
     for arg in [0u64, 1, 5, (-3i64) as u64] {
         let a = Interpreter::new(&m, ExecConfig::default())
-            .run("main", &[arg])
+            .run("main", &[arg], None)
             .expect("runs");
         let b = Interpreter::new(&parsed, ExecConfig::default())
-            .run("main", &[arg])
+            .run("main", &[arg], None)
             .expect("runs");
         assert_eq!(a.outcome, b.outcome, "arg {arg}");
         assert_eq!(a.outputs, b.outputs, "arg {arg}");
@@ -148,7 +148,7 @@ fn negative_and_hex_literals_parse() {
     let m = parse_module(text).expect("parses");
     use epvf_interp::{ExecConfig, Interpreter};
     let r = Interpreter::new(&m, ExecConfig::default())
-        .run("main", &[])
+        .run("main", &[], None)
         .expect("runs");
     assert_eq!(r.outcome, epvf_interp::Outcome::Completed);
 }

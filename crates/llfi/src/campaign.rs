@@ -617,12 +617,12 @@ impl<'m> Campaign<'m> {
         if idx == 0 {
             // Checkpointing off (or no usable checkpoint): from scratch.
             epvf_telemetry::add(Ctr::CampaignScratchRuns, 1);
-            let res = interp.run_fault(&self.entry, &self.args, fault)?;
+            let res = interp.run(&self.entry, &self.args, Some(fault))?;
             Ok(self.classify(&res))
         } else {
             epvf_telemetry::add(Ctr::CampaignResumedRuns, 1);
             let base = &self.ckpts[idx - 1];
-            match interp.replay_fault_from(base, fault, &self.ckpts[idx..]) {
+            match interp.replay(base, Some(fault), &self.ckpts[idx..]) {
                 ReplayOutcome::Finished(res) => Ok(self.classify(&res)),
                 ReplayOutcome::Rejoined { .. } => {
                     epvf_telemetry::add(Ctr::CampaignEarlyBenign, 1);

@@ -236,7 +236,7 @@ fn lowered_effect(campaign: &Campaign<'_>, spec: InjectionSpec) -> FaultEffect {
 /// XORs score against the address operand's constraint (addressing is
 /// direct — the effect applies to the just-read effective address);
 /// result, control, and memory-cell faults carry no crash-model claim, so
-/// they predict `false` and can only cost precision, never recall.
+/// they predict `false` and can only cost recall, never precision.
 fn predicts_crash_effect(res: &EpvfResult, spec: InjectionSpec, effect: FaultEffect) -> bool {
     match effect {
         FaultEffect::OperandXor { slot, mask } => {

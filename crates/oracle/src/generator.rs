@@ -424,7 +424,7 @@ mod tests {
             let r = Recipe::random(&mut rng, &GenConfig::default());
             let m = r.emit();
             let run = Interpreter::new(&m, ExecConfig::default())
-                .run("main", &[])
+                .run("main", &[], None)
                 .expect("entry valid");
             assert_eq!(run.outcome, Outcome::Completed, "recipe `{r}`");
             assert!(!run.outputs.is_empty(), "always at least the final output");

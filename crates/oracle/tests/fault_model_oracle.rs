@@ -12,7 +12,8 @@
 //!
 //! 2. **Planted faults** — hand-built modules where the outcome of one
 //!    specific injection is known by construction: a wrong-branch SDC, a
-//!    skipped output SDC, a high-bit store-address crash, and the SEC-DED
+//!    skipped output SDC, a destination flip corrupting every later use, a
+//!    high-bit store-address crash, and the SEC-DED
 //!    delayed-reporting pair (short window ⇒ expired+masked, long window ⇒
 //!    detected on consumption).
 
@@ -61,6 +62,11 @@ fn sweep_model(model_str: &str) {
             c.precision()
         );
     }
+}
+
+#[test]
+fn dest_model_sweeps_clean() {
+    sweep_model("dest");
 }
 
 #[test]
@@ -184,6 +190,35 @@ fn planted_skip_of_output_is_sdc() {
         campaign.run_spec(spec),
         InjOutcome::Sdc,
         "skipped output leaves the printed stream short"
+    );
+}
+
+/// `x = n + 0; output x; output x` — a destination flip corrupts `x`
+/// for both outputs, where a source flip would corrupt one read.
+#[test]
+fn planted_dest_flip_persists_across_uses() {
+    let mut mb = ModuleBuilder::new("d");
+    let mut f = mb.function("main", vec![Type::I32], None);
+    let n = f.param(0);
+    let x = f.add(Type::I32, n, Value::i32(0));
+    f.output(Type::I32, x);
+    f.output(Type::I32, x);
+    f.ret(None);
+    f.finish();
+    let m = mb.finish().expect("verifies");
+    let model = parse_fault_model("dest").expect("parses");
+    let campaign =
+        Campaign::with_model(&m, "main", &[8], CampaignConfig::default(), model).expect("golden");
+    let sid = find_sid(&m, |op| matches!(op, Op::Bin { .. }));
+    let spec = InjectionSpec {
+        dyn_idx: first_dyn_at(&campaign, sid),
+        operand_slot: 0,
+        bit: 0,
+    };
+    assert_eq!(
+        campaign.run_spec(spec),
+        InjOutcome::Sdc,
+        "both outputs print 9 instead of 8"
     );
 }
 

@@ -13,7 +13,9 @@
 //! * **Determinism** — the same sweep is identical with 1 and 4 worker
 //!   threads, extending the byte-identical contract to every model.
 
-use epvf_core::{parse_fault_model, BurstFlip, EccWord, FaultModel, SingleBitFlip, StoreAddr};
+use epvf_core::{
+    parse_fault_model, BurstFlip, DestFlip, EccWord, FaultModel, SingleBitFlip, StoreAddr,
+};
 use epvf_interp::{FaultEffect, InjectionSpec};
 use epvf_llfi::{Campaign, CampaignConfig, CampaignError};
 use epvf_oracle::{sweep, GenConfig, Recipe};
@@ -120,14 +122,24 @@ proptest! {
         prop_assert_eq!(mask, 1u64 << (spec.bit & 63));
     }
 
+    /// Destination faults flip exactly one bit of the defined value.
+    #[test]
+    fn dest_masks_are_single_result_bits((spec, width) in spec_strategy()) {
+        let FaultEffect::ResultXor { mask } = DestFlip.lower(spec, width).effect else {
+            return Err(TestCaseError::fail("dest lowers to ResultXor"));
+        };
+        prop_assert_eq!(mask, 1u64 << (spec.bit & 63));
+    }
+
     /// Canonical names round-trip through the parser for every
     /// parameterization.
     #[test]
     fn names_round_trip_through_parser(bits in 2u32..=8, window in 1u64..10_000) {
-        let models: [Box<dyn FaultModel>; 3] = [
+        let models: [Box<dyn FaultModel>; 4] = [
             Box::new(BurstFlip { bits }),
             Box::new(EccWord { window }),
             Box::new(SingleBitFlip),
+            Box::new(DestFlip),
         ];
         for m in &models {
             let name = m.name();
@@ -138,8 +150,9 @@ proptest! {
     }
 }
 
-const MODELS: [&str; 6] = [
+const MODELS: [&str; 7] = [
     "bitflip",
+    "dest",
     "burst:3",
     "skip",
     "wrong-branch",

@@ -83,7 +83,7 @@ pub fn plan_protection(
     max_candidates: usize,
 ) -> ProtectionPlan {
     let base = Interpreter::new(module, ExecConfig::default())
-        .run(entry, args)
+        .run(entry, args, None)
         .expect("baseline runs");
     let base_dyn = base.dyn_insts.max(1);
     let base_outputs = base.outputs.clone();
@@ -100,7 +100,7 @@ pub fn plan_protection(
         trial.insert(*sid);
         let candidate = duplicate_instructions(module, &trial);
         let run = Interpreter::new(&candidate, ExecConfig::default())
-            .run(entry, args)
+            .run(entry, args, None)
             .expect("protected module runs");
         // A protection that alters fault-free behaviour (e.g. a check that
         // false-fires) is a transform bug, not a plan candidate.
@@ -167,7 +167,7 @@ mod tests {
         assert!(!plan.protected.is_empty(), "something was protected");
         // The protected module still computes the same outputs.
         let out = epvf_interp::Interpreter::new(&plan.module, ExecConfig::default())
-            .run("main", &w.args)
+            .run("main", &w.args, None)
             .expect("runs");
         assert_eq!(out.outputs, golden.outputs);
     }

@@ -252,10 +252,10 @@ mod tests {
         let p = duplicate_instructions(&m, &protect);
         assert!(p.static_inst_count() > m.static_inst_count());
         let orig = Interpreter::new(&m, ExecConfig::default())
-            .run("main", &[5])
+            .run("main", &[5], None)
             .expect("runs");
         let prot = Interpreter::new(&p, ExecConfig::default())
-            .run("main", &[5])
+            .run("main", &[5], None)
             .expect("runs");
         assert_eq!(orig.outputs, prot.outputs);
         assert_eq!(prot.outcome, Outcome::Completed);
@@ -275,14 +275,17 @@ mod tests {
         // Corrupt the ORIGINAL mul's first operand: the recomputed chain
         // disagrees → Detected.
         let r = interp
-            .run_injected(
+            .run(
                 "main",
                 &[5],
-                InjectionSpec {
-                    dyn_idx: 1,
-                    operand_slot: 0,
-                    bit: 4,
-                },
+                Some(
+                    InjectionSpec {
+                        dyn_idx: 1,
+                        operand_slot: 0,
+                        bit: 4,
+                    }
+                    .into(),
+                ),
             )
             .expect("runs");
         assert_eq!(r.outcome, Outcome::Detected);
@@ -303,7 +306,7 @@ mod tests {
         let protect: HashSet<_> = [StaticInstId(0)].into_iter().collect();
         let p = duplicate_instructions(&m, &protect);
         let interp = Interpreter::new(&p, ExecConfig::default());
-        let golden = interp.run("main", &[5]).expect("runs");
+        let golden = interp.run("main", &[5], None).expect("runs");
         // Protected layout: 0=add(a) 1..=dup chain.. then c. Find c's dyn
         // index by scanning the protected golden trace.
         let traced = interp.golden_run("main", &[5]).expect("runs");
@@ -317,14 +320,17 @@ mod tests {
             .nth(2) // add, dup-add, then c
             .expect("c executed");
         let r = interp
-            .run_injected(
+            .run(
                 "main",
                 &[5],
-                InjectionSpec {
-                    dyn_idx: c_rec.idx,
-                    operand_slot: 0,
-                    bit: 3,
-                },
+                Some(
+                    InjectionSpec {
+                        dyn_idx: c_rec.idx,
+                        operand_slot: 0,
+                        bit: 3,
+                    }
+                    .into(),
+                ),
             )
             .expect("runs");
         assert!(

@@ -79,10 +79,10 @@ proptest! {
         let p = duplicate_instructions(&m, &protect);
 
         let orig = Interpreter::new(&m, ExecConfig::default())
-            .run("main", &[seeds.0, seeds.1])
+            .run("main", &[seeds.0, seeds.1], None)
             .expect("runs");
         let prot = Interpreter::new(&p, ExecConfig::default())
-            .run("main", &[seeds.0, seeds.1])
+            .run("main", &[seeds.0, seeds.1], None)
             .expect("runs");
         prop_assert_eq!(orig.outcome, Outcome::Completed);
         prop_assert_eq!(prot.outcome, Outcome::Completed, "no false detection");

@@ -131,7 +131,7 @@ mod tests {
         f.finish();
         let m = mb.finish().expect("verifies");
         let r = Interpreter::new(&m, ExecConfig::default())
-            .run("main", &[])
+            .run("main", &[], None)
             .expect("runs");
         assert_eq!(r.outputs, vec![45, 90]);
     }
@@ -164,7 +164,7 @@ mod tests {
         f.finish();
         let m = mb.finish().expect("verifies");
         let r = Interpreter::new(&m, ExecConfig::default())
-            .run("main", &[])
+            .run("main", &[], None)
             .expect("runs");
         // Σ_{i<4} Σ_{j<3} i*j = (0+1+2+3)*(0+1+2) = 18
         assert_eq!(r.outputs, vec![18]);

@@ -75,7 +75,7 @@ impl Workload {
     /// Panics if the entry signature is invalid (construction bug).
     pub fn run(&self) -> RunResult {
         Interpreter::new(&self.module, ExecConfig::default())
-            .run(Self::ENTRY, &self.args)
+            .run(Self::ENTRY, &self.args, None)
             .expect("workload entry is valid")
     }
 }

@@ -21,7 +21,7 @@ fn parsed_workloads_behave_identically() {
         let parsed = parse_module(&w.module.to_string()).expect("parses");
         let orig = w.run();
         let re = Interpreter::new(&parsed, ExecConfig::default())
-            .run(Workload::ENTRY, &w.args)
+            .run(Workload::ENTRY, &w.args, None)
             .expect("runs");
         assert_eq!(orig.outputs, re.outputs, "{}", w.name);
         assert_eq!(orig.dyn_insts, re.dyn_insts, "{}", w.name);

@@ -99,7 +99,7 @@ fn protection_plan_preserves_behaviour_on_all_protectable_workloads() {
         let plan = plan_protection(&w.module, Workload::ENTRY, &w.args, &ranking, 0.24, 40);
         assert!(plan.overhead <= 0.24, "{name}");
         let run = epvf_interp::Interpreter::new(&plan.module, epvf_interp::ExecConfig::default())
-            .run(Workload::ENTRY, &w.args)
+            .run(Workload::ENTRY, &w.args, None)
             .expect("protected runs");
         assert_eq!(
             run.outputs, golden.outputs,
