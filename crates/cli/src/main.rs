@@ -27,8 +27,8 @@ use epvf_core::{
 use epvf_interp::{ExecConfig, Interpreter};
 use epvf_ir::{parse_module, Module};
 use epvf_llfi::{
-    wal_fingerprint_adaptive_model, wal_fingerprint_model, Campaign, CampaignConfig, RunSession,
-    SamplerConfig, WalError, WalSink,
+    wal_fingerprint_adaptive_model, Campaign, CampaignConfig, RunSession, SamplerConfig, ShardSpec,
+    WalError,
 };
 use epvf_oracle::{
     calibrate, differential_check, hard_invariant_scan, outcome_label, parse_repro, replay_repro,
@@ -38,10 +38,10 @@ use epvf_protect::{plan_protection, rank_instructions, RankingStrategy};
 use epvf_telemetry::{MetricsReport, Progress};
 use epvf_workloads::{by_name, extended_suite, Scale, Workload};
 use std::process::ExitCode;
+use std::time::Duration;
 
-mod run_sharded;
+mod executor;
 mod serve;
-mod sharding;
 mod summary;
 
 /// Structured CLI failure: every variant maps to a distinct, documented
@@ -146,11 +146,11 @@ fn main() -> ExitCode {
             Some("run") => with_target(&args, cmd_run),
             Some("analyze") => with_target(&args, cmd_analyze),
             Some("inject") => with_target(&args, cmd_inject),
-            Some("shard") => with_target(&args, sharding::cmd_shard),
-            Some("merge") => with_target(&args, sharding::cmd_merge),
+            Some("shard") => with_target(&args, executor::cmd_shard),
+            Some("merge") => with_target(&args, executor::cmd_merge),
             // Takes the raw spec token (workers receive it verbatim),
             // so it does not go through `with_target`.
-            Some("run-sharded") => run_sharded::cmd_run_sharded(args.get(1..).unwrap_or(&[])),
+            Some("run-sharded") => executor::cmd_run_sharded(args.get(1..).unwrap_or(&[])),
             Some("serve") => serve::cmd_serve(args.get(1..).unwrap_or(&[])),
             Some("oracle") => cmd_oracle(args.get(1..).unwrap_or(&[])),
             Some("protect") => with_target(&args, cmd_protect),
@@ -585,12 +585,7 @@ fn cmd_analyze(t: Target, rest: &[String]) -> Result<(), CliError> {
     let mut it = rest.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--section-cache" => {
-                let dir = it
-                    .next()
-                    .ok_or_else(|| CliError::usage("--section-cache needs a value"))?;
-                cache_dir = Some(dir.into());
-            }
+            "--section-cache" => cache_dir = Some(flag_value(&mut it, a)?),
             flag if flag.starts_with("--") => {
                 return Err(CliError::usage(format!("unknown flag `{flag}`")))
             }
@@ -666,6 +661,15 @@ struct InjectOpts {
     model: Option<std::sync::Arc<dyn FaultModel>>,
 }
 
+impl InjectOpts {
+    /// The `--fault-model`, or the default single-bit flip.
+    fn fault_model(&self) -> std::sync::Arc<dyn FaultModel> {
+        self.model
+            .clone()
+            .unwrap_or_else(epvf_core::default_fault_model)
+    }
+}
+
 fn parse_inject_opts(rest: &[String]) -> Result<(CampaignConfig, InjectOpts), CliError> {
     let mut config = CampaignConfig::default();
     let mut opts = InjectOpts {
@@ -680,75 +684,46 @@ fn parse_inject_opts(rest: &[String]) -> Result<(CampaignConfig, InjectOpts), Cl
     let mut positional: Vec<&String> = Vec::new();
     let mut it = rest.iter();
     while let Some(a) = it.next() {
-        let mut value = |what: &str| -> Result<&String, CliError> {
-            it.next()
-                .ok_or_else(|| CliError::usage(format!("{what} needs a value")))
-        };
-        let bad = |what: &str| CliError::usage(format!("bad {what}"));
         match a.as_str() {
             "--ckpt-interval" => {
-                let k: u64 = value("--ckpt-interval")?
-                    .parse()
-                    .map_err(|_| bad("--ckpt-interval"))?;
+                let k: u64 = flag_value(&mut it, a)?;
                 config.ckpt_interval = if k == 0 { CampaignConfig::CKPT_OFF } else { k };
             }
-            "--threads" => {
-                let n: usize = value("--threads")?.parse().map_err(|_| bad("--threads"))?;
-                config.threads = n.max(1);
-            }
-            "--retries" => {
-                config.retries = value("--retries")?.parse().map_err(|_| bad("--retries"))?;
-            }
-            "--fuel" => {
-                config.run_fuel = Some(value("--fuel")?.parse().map_err(|_| bad("--fuel"))?);
-            }
+            "--threads" => config.threads = flag_value::<usize>(&mut it, a)?.max(1),
+            "--retries" => config.retries = flag_value(&mut it, a)?,
+            "--fuel" => config.run_fuel = Some(flag_value(&mut it, a)?),
             "--deadline-ms" => {
-                let ms: u64 = value("--deadline-ms")?
-                    .parse()
-                    .map_err(|_| bad("--deadline-ms"))?;
-                config.run_deadline = Some(std::time::Duration::from_millis(ms));
+                config.run_deadline = Some(Duration::from_millis(flag_value(&mut it, a)?));
             }
-            "--poison-at" => {
-                config.poison_at = Some(
-                    value("--poison-at")?
-                        .parse()
-                        .map_err(|_| bad("--poison-at"))?,
-                );
-            }
-            "--wal" => opts.wal = Some(value("--wal")?.into()),
+            "--poison-at" => config.poison_at = Some(flag_value(&mut it, a)?),
+            "--wal" => opts.wal = Some(flag_value(&mut it, a)?),
             "--resume" => opts.resume = true,
             "--fault-model" => {
-                opts.model =
-                    Some(parse_fault_model(value("--fault-model")?).map_err(CliError::usage)?);
+                let spec: String = flag_value(&mut it, a)?;
+                opts.model = Some(parse_fault_model(&spec).map_err(CliError::usage)?);
             }
             "--sample" => opts.sample = true,
             "--target-ci" => {
                 opts.sample = true;
-                opts.target_ci = value("--target-ci")?
-                    .parse()
-                    .map_err(|_| bad("--target-ci"))?;
+                opts.target_ci = flag_value(&mut it, a)?;
                 if !(opts.target_ci.is_finite() && opts.target_ci >= 0.0) {
-                    return Err(bad("--target-ci"));
+                    return Err(bad_arg(a));
                 }
             }
             "--pilot" => {
-                opts.pilot = value("--pilot")?.parse().map_err(|_| bad("--pilot"))?;
+                opts.pilot = flag_value(&mut it, a)?;
                 if opts.pilot == 0 {
-                    return Err(bad("--pilot"));
+                    return Err(bad_arg(a));
                 }
             }
             "--batch" => {
-                opts.batch = value("--batch")?.parse().map_err(|_| bad("--batch"))?;
+                opts.batch = flag_value(&mut it, a)?;
                 if opts.batch == 0 {
-                    return Err(bad("--batch"));
+                    return Err(bad_arg(a));
                 }
             }
-            "--max-unsound" => {
-                opts.max_unsound = value("--max-unsound")?
-                    .parse()
-                    .map_err(|_| bad("--max-unsound"))?;
-            }
-            "--quarantine-dir" => opts.quarantine_dir = Some(value("--quarantine-dir")?.into()),
+            "--max-unsound" => opts.max_unsound = flag_value(&mut it, a)?,
+            "--quarantine-dir" => opts.quarantine_dir = Some(flag_value(&mut it, a)?),
             flag if flag.starts_with("--") => {
                 return Err(CliError::usage(format!("unknown flag `{flag}`")))
             }
@@ -775,73 +750,37 @@ fn bad_arg(what: &str) -> CliError {
     CliError::usage(format!("bad {what}"))
 }
 
+/// Parse the value of `flag` from the next argument: exit 2 when it is
+/// missing or malformed.
+fn flag_value<T: std::str::FromStr>(
+    it: &mut std::slice::Iter<'_, String>,
+    flag: &str,
+) -> Result<T, CliError> {
+    it.next()
+        .ok_or_else(|| CliError::usage(format!("{flag} needs a value")))?
+        .parse()
+        .map_err(|_| bad_arg(flag))
+}
+
 fn cmd_inject(t: Target, rest: &[String]) -> Result<(), CliError> {
     let (config, opts) = parse_inject_opts(rest)?;
-    let model = opts
-        .model
-        .clone()
-        .unwrap_or_else(epvf_core::default_fault_model);
-    let campaign = Campaign::with_model(&t.module, Workload::ENTRY, &t.args, config, model)
-        .map_err(CliError::campaign)?;
+    let campaign = executor::build_campaign(&t, config, &opts)?;
     if opts.sample {
         return cmd_inject_sampled(&t, &campaign, &opts);
     }
-    let trace = campaign
-        .golden()
-        .trace
-        .as_ref()
-        .ok_or_else(|| CliError::campaign("golden run produced no trace"))?;
-    let res = analyze(&t.module, trace, EpvfConfig::default());
+    let res = executor::analyze_golden(&campaign)?;
     let specs = campaign.draw_specs(opts.runs, opts.seed);
 
     // With --wal, completed runs stream into a crash-safe log;
     // --resume salvages a previous log first and re-runs only what's
     // missing, reproducing byte-identical aggregates.
-    let fi = if let Some(wal_path) = &opts.wal {
-        let fp = wal_fingerprint_model(
-            &t.module.to_string(),
-            Workload::ENTRY,
-            &t.args,
-            &specs,
-            &campaign.model().name(),
-        );
-        let (sink, recovered) = if opts.resume {
-            let (sink, rec) = WalSink::recover(wal_path, fp)?;
-            let mut map = std::collections::BTreeMap::new();
-            for (i, (spec, outcome)) in rec.outcomes {
-                match specs.get(i) {
-                    Some(s) if *s == spec => {
-                        map.insert(i, outcome);
-                    }
-                    _ => {
-                        return Err(CliError::input(format!(
-                            "WAL record {i} does not match the drawn spec list \
-                             (same fingerprint but divergent content)"
-                        )))
-                    }
-                }
-            }
-            (sink, map)
-        } else {
-            (WalSink::create(wal_path, fp)?, Default::default())
-        };
-        let session = RunSession {
-            recovered,
-            wal: Some(&sink),
-            ..RunSession::default()
-        };
-        let fi = campaign.run_specs_session(&specs, &session);
-        sink.flush();
-        if let Some(e) = sink.take_error() {
-            return Err(CliError::io(format!(
-                "writing WAL {}: {e}",
-                wal_path.display()
-            )));
-        }
-        fi
-    } else {
-        campaign.run_specs(&specs)
-    };
+    let fi = executor::run_slice(
+        &campaign,
+        &specs,
+        ShardSpec::WHOLE,
+        opts.wal.as_deref(),
+        opts.resume,
+    )?;
 
     // The summary renderer is shared with `epvf merge`: a merged N-shard
     // campaign must reproduce these bytes exactly (the differential
@@ -874,43 +813,32 @@ fn cmd_inject_sampled(t: &Target, campaign: &Campaign, opts: &InjectOpts) -> Res
         seed: opts.seed,
     };
 
-    let report = if let Some(wal_path) = &opts.wal {
-        let fp = wal_fingerprint_adaptive_model(
-            &t.module.to_string(),
-            Workload::ENTRY,
-            &t.args,
-            cfg.target_ci,
-            cfg.pilot,
-            cfg.batch,
-            cfg.max_runs,
-            cfg.seed,
-            &campaign.model().name(),
-        );
-        let (sink, recovered) = if opts.resume {
-            let (sink, rec) = WalSink::recover(wal_path, fp)?;
-            // Records are keyed by global run index in the deterministic
-            // execution sequence; the sampler replays them in place.
-            let map = rec.outcomes.into_iter().map(|(i, (_, o))| (i, o)).collect();
-            (sink, map)
-        } else {
-            (WalSink::create(wal_path, fp)?, Default::default())
-        };
-        let session = RunSession {
-            recovered,
-            wal: Some(&sink),
-            ..RunSession::default()
-        };
-        let report = campaign.run_adaptive_session(cfg, &session);
-        sink.flush();
-        if let Some(e) = sink.take_error() {
-            return Err(CliError::io(format!(
-                "writing WAL {}: {e}",
-                wal_path.display()
-            )));
+    let report = match &opts.wal {
+        Some(path) => {
+            let fp = wal_fingerprint_adaptive_model(
+                &t.module.to_string(),
+                Workload::ENTRY,
+                &t.args,
+                cfg.target_ci,
+                cfg.pilot,
+                cfg.batch,
+                cfg.max_runs,
+                cfg.seed,
+                &campaign.model().name(),
+            );
+            executor::with_wal(path, fp, opts.resume, |sink, records| {
+                // Records are keyed by global run index in the
+                // deterministic execution sequence; the sampler replays
+                // them in place.
+                let session = RunSession {
+                    recovered: records.into_iter().map(|(i, (_, o))| (i, o)).collect(),
+                    wal: Some(sink),
+                    ..RunSession::default()
+                };
+                Ok(campaign.run_adaptive_session(cfg, &session))
+            })?
         }
-        report
-    } else {
-        campaign.run_adaptive(cfg)
+        None => campaign.run_adaptive(cfg),
     };
 
     println!("target    : {} (sampled, seed {})", t.label, opts.seed);
@@ -1005,43 +933,28 @@ fn cmd_oracle(rest: &[String]) -> Result<(), CliError> {
     let mut model: Option<std::sync::Arc<dyn FaultModel>> = None;
     let mut it = rest.iter();
     while let Some(a) = it.next() {
-        let mut value = |what: &str| -> Result<&String, CliError> {
-            it.next()
-                .ok_or_else(|| CliError::usage(format!("{what} needs a value")))
-        };
-        let bad = |what: &str| CliError::usage(format!("bad {what}"));
         match a.as_str() {
-            "--workload" => target = Some(value("--workload")?.clone()),
-            "--limit" => limit = value("--limit")?.parse().map_err(|_| bad("--limit"))?,
-            "--max-repros" => {
-                max_repros = value("--max-repros")?
-                    .parse()
-                    .map_err(|_| bad("--max-repros"))?;
-            }
-            "--repro-dir" => repro_dir = Some(value("--repro-dir")?.clone()),
-            "--replay" => replay = Some(value("--replay")?.clone()),
+            "--workload" => target = Some(flag_value(&mut it, a)?),
+            "--limit" => limit = flag_value(&mut it, a)?,
+            "--max-repros" => max_repros = flag_value(&mut it, a)?,
+            "--repro-dir" => repro_dir = Some(flag_value(&mut it, a)?),
+            "--replay" => replay = Some(flag_value(&mut it, a)?),
             "--fault-model" => {
-                model = Some(parse_fault_model(value("--fault-model")?).map_err(CliError::usage)?);
+                let spec: String = flag_value(&mut it, a)?;
+                model = Some(parse_fault_model(&spec).map_err(CliError::usage)?);
             }
             "--calibrate" => {
-                let w: f64 = value("--calibrate")?
-                    .parse()
-                    .map_err(|_| bad("--calibrate"))?;
+                let w: f64 = flag_value(&mut it, a)?;
                 if !(w.is_finite() && w > 0.0) {
-                    return Err(bad("--calibrate"));
+                    return Err(bad_arg(a));
                 }
                 calibrate_ci = Some(w);
             }
             "--ckpt-interval" => {
-                let k: u64 = value("--ckpt-interval")?
-                    .parse()
-                    .map_err(|_| bad("--ckpt-interval"))?;
+                let k: u64 = flag_value(&mut it, a)?;
                 config.ckpt_interval = if k == 0 { CampaignConfig::CKPT_OFF } else { k };
             }
-            "--threads" => {
-                let n: usize = value("--threads")?.parse().map_err(|_| bad("--threads"))?;
-                config.threads = n.max(1);
-            }
+            "--threads" => config.threads = flag_value::<usize>(&mut it, a)?.max(1),
             flag if flag.starts_with("--") => {
                 return Err(CliError::usage(format!("unknown flag `{flag}`")))
             }

@@ -27,6 +27,11 @@ struct Daemon {
 
 impl Daemon {
     fn start(dir: &std::path::Path) -> Daemon {
+        Daemon::start_with(dir, &[])
+    }
+
+    /// Start the daemon with extra `serve` flags.
+    fn start_with(dir: &std::path::Path, flags: &[&str]) -> Daemon {
         let socket = dir.join("epvf.sock");
         let metrics = dir.join("metrics.json");
         let child = Command::new(env!("CARGO_BIN_EXE_epvf"))
@@ -37,6 +42,7 @@ impl Daemon {
                 "--metrics-out",
                 metrics.to_str().expect("utf8"),
             ])
+            .args(flags)
             .stdout(Stdio::null())
             .stderr(Stdio::null())
             .spawn()
@@ -319,6 +325,38 @@ fn sharded_requests_stream_supervised_progress() {
         let progress = format!("progress 1 shard {shard}/3 done");
         assert!(lines.contains(&progress), "{lines:?}");
     }
+    daemon.shutdown(&mut conn);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A sharded request whose workers run out of retries fails closed: the
+/// reply is `error <id>` naming the failure family, and the daemon keeps
+/// serving.
+#[test]
+fn exhausted_shards_fail_the_request_but_not_the_daemon() {
+    let dir = tmpdir("exhausted");
+    let daemon = Daemon::start_with(&dir, &["--shard-deadline-ms", "1", "--shard-retries", "0"]);
+    let mut conn = daemon.connect();
+
+    send(&mut conn, "run lud:small 400 7 --shards 2");
+    assert_eq!(recv(&mut conn), "queued 1");
+    let reply = loop {
+        let line = recv(&mut conn);
+        assert_ne!(line, "done 1", "every shard must miss a 1 ms deadline");
+        if line.starts_with("error 1 ") {
+            break line;
+        }
+    };
+    assert!(reply.contains("exceeded the shard deadline"), "{reply}");
+    // The shared fail-closed text names every failed shard, not just the
+    // first.
+    assert!(
+        reply.contains("shard 0 (") && reply.contains("shard 1 ("),
+        "{reply}"
+    );
+
+    send(&mut conn, "ping");
+    assert_eq!(recv(&mut conn), "pong");
     daemon.shutdown(&mut conn);
     std::fs::remove_dir_all(&dir).ok();
 }

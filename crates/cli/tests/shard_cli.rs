@@ -203,3 +203,67 @@ fn incomplete_or_duplicated_shard_sets_exit_4() {
 
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// `epvf inject --wal` is the whole-campaign slice, shard 0 of 1: with
+/// one thread both commands write byte-identical WALs, and each resumes
+/// the other's log to its own uninterrupted output.
+#[test]
+fn inject_wal_is_shard_zero_of_one() {
+    let dir = tmpdir("whole");
+    let inject_wal = dir.join("inject.wal");
+    let inject_wal = inject_wal.to_str().expect("utf8");
+    let shard_wal = dir.join("shard.wal");
+    let shard_wal = shard_wal.to_str().expect("utf8");
+    let inject = |wal: &str, resume: bool| {
+        let mut args = vec!["inject", TARGET, RUNS, SEED, "--threads", "1", "--wal", wal];
+        args.extend(resume.then_some("--resume"));
+        epvf(&args)
+    };
+    let shard = |wal: &str, resume: bool| {
+        let mut args = vec![
+            "shard",
+            TARGET,
+            RUNS,
+            SEED,
+            "--threads",
+            "1",
+            "--index",
+            "0",
+            "--of",
+            "1",
+            "--wal",
+            wal,
+        ];
+        args.extend(resume.then_some("--resume"));
+        epvf(&args)
+    };
+
+    let plain = epvf(&["inject", TARGET, RUNS, SEED]);
+    assert_eq!(plain.code, 0, "{}", plain.stderr);
+    let fresh_inject = inject(inject_wal, false);
+    assert_eq!(fresh_inject.code, 0, "{}", fresh_inject.stderr);
+    assert_eq!(fresh_inject.stdout, plain.stdout);
+    let fresh_shard = shard(shard_wal, false);
+    assert_eq!(fresh_shard.code, 0, "{}", fresh_shard.stderr);
+    let inject_bytes = std::fs::read(inject_wal).expect("inject WAL");
+    assert!(inject_bytes.len() > 16, "WAL holds records");
+    assert_eq!(
+        inject_bytes,
+        std::fs::read(shard_wal).expect("shard WAL"),
+        "inject --wal and shard --index 0 --of 1 must write the same bytes"
+    );
+
+    let resumed = inject(shard_wal, true);
+    assert_eq!(resumed.code, 0, "{}", resumed.stderr);
+    assert_eq!(
+        resumed.stdout, plain.stdout,
+        "inject resumes a 0/1 shard log"
+    );
+    let resumed = shard(inject_wal, true);
+    assert_eq!(resumed.code, 0, "{}", resumed.stderr);
+    assert_eq!(
+        resumed.stdout, fresh_shard.stdout,
+        "shard 0/1 resumes an inject log"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}

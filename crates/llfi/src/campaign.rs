@@ -715,7 +715,7 @@ impl<'m> Campaign<'m> {
         };
         if threads == 1 || order.len() < 32 {
             for (done, &i) in order.iter().enumerate() {
-                let (o, q) = self.run_spec_supervised(i, specs[i]);
+                let (o, q) = self.run_spec_isolated(i, specs[i]);
                 if let Some(sink) = session.wal {
                     sink.append(session.global_index(i), specs[i], o);
                 }
@@ -740,7 +740,7 @@ impl<'m> Campaign<'m> {
                                 loop {
                                     let k = cursor.fetch_add(1, Ordering::Relaxed);
                                     let Some(&i) = order.get(k) else { break };
-                                    let (o, q) = self.run_spec_supervised(i, specs[i]);
+                                    let (o, q) = self.run_spec_isolated(i, specs[i]);
                                     if let Some(sink) = session.wal {
                                         sink.append(session.global_index(i), specs[i], o);
                                     }
@@ -764,7 +764,7 @@ impl<'m> Campaign<'m> {
             }
             for &i in order.iter() {
                 if outcomes[i].is_none() {
-                    let (o, q) = self.run_spec_supervised(i, specs[i]);
+                    let (o, q) = self.run_spec_isolated(i, specs[i]);
                     if let Some(sink) = session.wal {
                         sink.append(session.global_index(i), specs[i], o);
                     }

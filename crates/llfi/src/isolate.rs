@@ -2,7 +2,7 @@
 //!
 //! A fault-injection campaign executes thousands of deliberately corrupted
 //! runs; a bug anywhere in the interpreter (or a pathological corruption)
-//! can panic. Without supervision one panic tears down the worker pool and
+//! can panic. Without isolation one panic tears down the worker pool and
 //! loses the whole campaign. Here every run executes under
 //! [`std::panic::catch_unwind`]: a panicking run is retried up to the
 //! configured budget (distinguishing transient from deterministic poison)
@@ -10,10 +10,13 @@
 //! its payload in a [`QuarantineRecord`], renderable as a replayable
 //! `.repro` file — while the rest of the campaign proceeds.
 //!
-//! Supervised panics are muted through a wrapping panic hook (installed
-//! once, delegating to the previous hook for unsupervised panics), so a
+//! Isolated panics are muted through a wrapping panic hook (installed
+//! once, delegating to the previous hook for panics outside a run), so a
 //! campaign with a poisoned site doesn't spray backtraces over the
 //! progress display.
+//!
+//! [`RunSession`] is the per-call state those isolated runs share: the
+//! outcomes recovered from a WAL and the live WAL fresh ones append to.
 
 use crate::campaign::{Campaign, InjOutcome, QuarantineRecord};
 use crate::wal::WalSink;
@@ -25,10 +28,10 @@ use std::panic::{self, AssertUnwindSafe};
 use std::sync::Once;
 
 thread_local! {
-    /// Set while this thread is inside a supervised run; the wrapping
+    /// Set while this thread is inside an isolated run; the wrapping
     /// panic hook stays silent for those panics (they are caught,
     /// classified, and recorded — not crashes of the tool itself).
-    static IN_SUPERVISED_RUN: Cell<bool> = const { Cell::new(false) };
+    static IN_ISOLATED_RUN: Cell<bool> = const { Cell::new(false) };
 }
 
 static HOOK: Once = Once::new();
@@ -37,7 +40,7 @@ fn install_quiet_hook() {
     HOOK.call_once(|| {
         let prev = panic::take_hook();
         panic::set_hook(Box::new(move |info| {
-            if !IN_SUPERVISED_RUN.with(Cell::get) {
+            if !IN_ISOLATED_RUN.with(Cell::get) {
                 prev(info);
             }
         }));
@@ -115,7 +118,7 @@ impl Campaign<'_> {
     /// which no retry can fix) the run is quarantined. Exactly one
     /// `runs_total` + outcome-class counter pair is recorded per call, so
     /// the telemetry conservation law holds whatever happens inside.
-    pub(crate) fn run_spec_supervised(
+    pub(crate) fn run_spec_isolated(
         &self,
         index: usize,
         spec: InjectionSpec,
@@ -129,9 +132,9 @@ impl Campaign<'_> {
                 used = attempt;
                 epvf_telemetry::add(Ctr::CampaignPanicRetries, 1);
             }
-            IN_SUPERVISED_RUN.with(|s| s.set(true));
+            IN_ISOLATED_RUN.with(|s| s.set(true));
             let run = panic::catch_unwind(AssertUnwindSafe(|| self.try_run_spec(spec)));
-            IN_SUPERVISED_RUN.with(|s| s.set(false));
+            IN_ISOLATED_RUN.with(|s| s.set(false));
             match run {
                 Ok(Ok(outcome)) => {
                     epvf_telemetry::add(Ctr::CampaignRunsTotal, 1);

@@ -42,11 +42,11 @@
 
 mod accuracy;
 mod campaign;
+mod isolate;
 mod sampler;
 mod shard;
 mod site;
 mod stats;
-mod supervise;
 mod supervisor;
 mod wal;
 
@@ -57,13 +57,13 @@ pub use campaign::{
     Campaign, CampaignConfig, CampaignError, CampaignResult, GoldenArtifacts, InjOutcome,
     OutputCompare, QuarantineRecord,
 };
+pub use isolate::RunSession;
 pub use sampler::{
     AdaptiveSampler, RateEstimate, RoundInfo, SampledCampaign, SamplerConfig, StratumReport,
 };
 pub use shard::{CampaignAggregate, MergeError, ShardOutcomes, ShardSpec, StratumTally};
 pub use site::{injectable_operand, InjectionSite, SiteTable};
 pub use stats::{ci95, clopper_pearson95, clopper_pearson_f, geomean, mean, wilson95_f};
-pub use supervise::RunSession;
 pub use supervisor::{
     backoff_delay, supervise, ChaosConfig, Event as SupervisorEvent, FailureKind, ShardOutcome,
     ShardPlan, SupervisorConfig, SupervisorReport,

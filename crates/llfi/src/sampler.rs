@@ -41,9 +41,9 @@
 //! Kish effective sample size `n_eff = p̂(1−p̂)/V̂`.
 
 use crate::campaign::{Campaign, InjOutcome, QuarantineRecord};
+use crate::isolate::RunSession;
 use crate::site::SiteTable;
 use crate::stats::{clopper_pearson_f, wilson95_f, Z95};
-use crate::supervise::RunSession;
 use epvf_core::SiteClass;
 use epvf_interp::InjectionSpec;
 use epvf_telemetry::{Ctr, Progress};

@@ -21,14 +21,13 @@
 //!   run + site enumeration happen before the WAL header is written),
 //!   so callers size it in seconds, not milliseconds.
 //! - **Crash detection.** A worker that exits on a signal or with an
-//!   exit code outside [`SupervisorConfig::success_codes`] is a
-//!   **crash** (the codes default to `{0, 3}`: exit 3 is the CLI's
+//!   exit code outside `{0, 3}` is a **crash** (exit 3 is the CLI's
 //!   graceful-degradation gate, which still writes a complete WAL).
 //! - **Restart policy.** Each failure consumes one unit of the
 //!   per-shard retry budget. Restarts resume from the shard's WAL when
 //!   its header survived (`len >= 16`), else start fresh, after an
 //!   exponential backoff with deterministic seeded jitter
-//!   (`delay ∈ [2^(k-1)·base/2, 2^(k-1)·base]`, capped) — so a
+//!   (`delay ∈ [2^(k-1)·base/2, 2^(k-1)·base]`, capped at 5 s) — so a
 //!   persistently failing shard cannot hot-loop, and two supervisors
 //!   with the same seed back off identically.
 //! - **Chaos injection.** The test-only [`ChaosConfig`] hook SIGKILLs
@@ -50,6 +49,16 @@ use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
+/// Exit codes that count as shard success: 0, and 3 — the CLI's
+/// graceful-degradation gate, whose WAL is complete.
+const SUCCESS_CODES: [i32; 2] = [0, 3];
+
+/// How often the loop samples children and WALs.
+const POLL_INTERVAL: Duration = Duration::from_millis(15);
+
+/// Upper bound on any single backoff delay.
+const BACKOFF_CAP: Duration = Duration::from_secs(5);
+
 /// How one shard worker attempt is launched. The supervisor decides
 /// per attempt whether to use `fresh_args` (no usable WAL on disk) or
 /// `resume_args` (header intact), both argv tails for `program`.
@@ -68,8 +77,6 @@ pub struct ShardPlan {
     /// Scratch file capturing the worker's stderr (truncated per
     /// attempt); the CLI surfaces its tail on failure.
     pub stderr_path: PathBuf,
-    /// Extra environment for the child.
-    pub envs: Vec<(String, String)>,
 }
 
 /// Supervisor policy knobs.
@@ -83,14 +90,8 @@ pub struct SupervisorConfig {
     pub deadline: Option<Duration>,
     /// Base of the exponential backoff between restarts.
     pub backoff_base: Duration,
-    /// Upper bound on any single backoff delay.
-    pub backoff_cap: Duration,
     /// Seed for the deterministic backoff jitter.
     pub seed: u64,
-    /// Exit codes that count as shard success.
-    pub success_codes: Vec<i32>,
-    /// How often the loop samples children and WALs.
-    pub poll_interval: Duration,
     /// Test-only fault injection into the loop itself.
     pub chaos: Option<ChaosConfig>,
 }
@@ -102,10 +103,7 @@ impl Default for SupervisorConfig {
             stall_timeout: None,
             deadline: None,
             backoff_base: Duration::from_millis(50),
-            backoff_cap: Duration::from_secs(5),
             seed: 0,
-            success_codes: vec![0, 3],
-            poll_interval: Duration::from_millis(15),
             chaos: None,
         }
     }
@@ -320,14 +318,14 @@ impl SplitMix64 {
 }
 
 /// The jittered exponential backoff before restart number `restart`
-/// (1-based) of `shard`: `2^(restart-1) · base` capped at `cap`, then
+/// (1-based) of `shard`: `2^(restart-1) · base` capped at 5 s, then
 /// jittered into `[delay/2, delay]`. Deterministic in
 /// `(seed, shard, restart)` — no wall clock, no global RNG.
 pub fn backoff_delay(cfg: &SupervisorConfig, shard: usize, restart: u32) -> Duration {
     let exp = cfg
         .backoff_base
         .saturating_mul(1u32 << (restart - 1).min(16))
-        .min(cfg.backoff_cap);
+        .min(BACKOFF_CAP);
     let mut rng = SplitMix64(
         cfg.seed
             ^ (shard as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15)
@@ -403,18 +401,16 @@ fn spawn_attempt(
     } else {
         &plan.fresh_args
     };
-    let mut cmd = Command::new(&plan.program);
-    cmd.args(args)
+    let spawned = Command::new(&plan.program)
+        .args(args)
         // Flush the WAL after every record so file growth is a
         // fine-grained heartbeat (the batched default could look like
         // a 64-record stall).
         .env("EPVF_WAL_FLUSH_BATCH", "1")
         .stdout(Stdio::null())
-        .stderr(stderr);
-    for (k, v) in &plan.envs {
-        cmd.env(k, v);
-    }
-    match cmd.spawn() {
+        .stderr(stderr)
+        .spawn();
+    match spawned {
         Ok(child) => {
             emit(Event::Spawned {
                 shard: plan.index,
@@ -559,7 +555,7 @@ pub fn supervise(
                     all_done = false;
                     match child.try_wait() {
                         Ok(Some(status)) => {
-                            let kind = classify_exit(&status, &cfg.success_codes, *pending_kill);
+                            let kind = classify_exit(&status, *pending_kill);
                             match kind {
                                 None => {
                                     slot.ok = true;
@@ -637,7 +633,7 @@ pub fn supervise(
         if all_done {
             break;
         }
-        std::thread::sleep(cfg.poll_interval);
+        std::thread::sleep(POLL_INTERVAL);
     }
 
     report.shards = slots
@@ -656,14 +652,13 @@ pub fn supervise(
 /// recorded when the kill was sent, not as the SIGKILL they die of.
 fn classify_exit(
     status: &std::process::ExitStatus,
-    success_codes: &[i32],
     pending_kill: Option<FailureKind>,
 ) -> Option<FailureKind> {
     if let Some(kind) = pending_kill {
         return Some(kind);
     }
     match status.code() {
-        Some(code) if success_codes.contains(&code) => None,
+        Some(code) if SUCCESS_CODES.contains(&code) => None,
         Some(code) => Some(FailureKind::Exit(code)),
         None => {
             #[cfg(unix)]
@@ -726,7 +721,6 @@ mod tests {
             resume_args: vec!["-c".into(), script.into()],
             wal: dir.join(format!("{name}.wal")),
             stderr_path: dir.join(format!("{name}.stderr")),
-            envs: Vec::new(),
         }
     }
 
@@ -807,7 +801,6 @@ mod tests {
             resume_args: vec!["-c".into(), "exit 0".into()],
             wal,
             stderr_path: dir.join("resume.stderr"),
-            envs: Vec::new(),
         };
         let cfg = SupervisorConfig {
             retries: 1,
@@ -852,7 +845,6 @@ mod tests {
             resume_args: vec!["-c".into(), script],
             wal,
             stderr_path: dir.join("beat.stderr"),
-            envs: Vec::new(),
         };
         let cfg = SupervisorConfig {
             retries: 0,
@@ -891,10 +883,10 @@ mod tests {
     fn backoff_is_deterministic_and_bounded() {
         let cfg = SupervisorConfig {
             backoff_base: Duration::from_millis(100),
-            backoff_cap: Duration::from_millis(800),
             seed: 42,
             ..SupervisorConfig::default()
         };
+        // 100 ms doubles past the 5 s cap by restart 7.
         for shard in 0..4 {
             for restart in 1..8 {
                 let a = backoff_delay(&cfg, shard, restart);
@@ -902,7 +894,7 @@ mod tests {
                 assert_eq!(a, b, "same inputs, same delay");
                 let exp = Duration::from_millis(100)
                     .saturating_mul(1 << (restart - 1).min(16))
-                    .min(Duration::from_millis(800));
+                    .min(BACKOFF_CAP);
                 assert!(a >= exp.div_f64(2.0) && a <= exp, "jitter window");
             }
         }
@@ -946,7 +938,6 @@ mod chaos_tick_tests {
             resume_args: vec!["-c".into(), "exit 0".into()],
             wal: dir.join("tick.wal"),
             stderr_path: dir.join("tick.stderr"),
-            envs: Vec::new(),
         };
         let cfg = SupervisorConfig {
             retries: 1,

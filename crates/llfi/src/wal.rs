@@ -834,6 +834,24 @@ mod tests {
         ));
     }
 
+    /// Header fingerprints pinned by value: a WAL written by an earlier
+    /// build must still resume and merge, so none of these may drift.
+    #[test]
+    fn fingerprints_are_pinned_by_value() {
+        let specs = [spec(1, 0, 0), spec(7, 2, 63)];
+        let base = wal_fingerprint("m", "main", &[4], &specs);
+        assert_eq!(base, 0xd13e_c838_d2df_077a);
+        assert_eq!(
+            wal_fingerprint_model("m", "main", &[4], &specs, "burst:2"),
+            0xa813_9b01_90f1_474c
+        );
+        assert_eq!(wal_fingerprint_shard(base, 1, 4), 0x95a1_ffae_9f45_a536);
+        assert_eq!(
+            wal_fingerprint_adaptive_model("m", "main", &[4], 0.05, 10, 10, 100, 7, "skip"),
+            0x464e_e9b0_66e1_2f29
+        );
+    }
+
     #[test]
     fn fingerprint_distinguishes_campaign_parameters() {
         let specs = [spec(1, 0, 0)];
