@@ -25,10 +25,9 @@ use crate::{flag_value, parse_inject_opts, resolve, summary, CliError, InjectOpt
 use epvf_core::{analyze, EpvfConfig, EpvfResult};
 use epvf_interp::InjectionSpec;
 use epvf_llfi::{
-    read_wal_fingerprint, wal_fingerprint_model, wal_fingerprint_shard, Campaign,
-    CampaignAggregate, CampaignConfig, CampaignResult, ChaosConfig, FailureKind, InjOutcome,
-    RunSession, ShardOutcomes, ShardPlan, ShardSpec, SupervisorConfig, SupervisorEvent,
-    SupervisorReport, WalSink,
+    read_wal_fingerprint, Campaign, CampaignAggregate, CampaignConfig, CampaignKey, CampaignResult,
+    ChaosConfig, Draw, FailureKind, InjOutcome, RunSession, ShardOutcomes, ShardPlan, ShardSpec,
+    SupervisorConfig, SupervisorEvent, SupervisorReport, WalSink,
 };
 use epvf_telemetry::{add, Ctr, MetricsReport, MetricsSnapshot};
 use epvf_workloads::Workload;
@@ -61,18 +60,6 @@ pub(crate) fn analyze_golden(campaign: &Campaign<'_>) -> Result<EpvfResult, CliE
         .as_ref()
         .ok_or_else(|| CliError::campaign("golden run produced no trace"))?;
     Ok(analyze(campaign.module(), trace, EpvfConfig::default()))
-}
-
-/// The campaign's WAL fingerprint before any shard geometry is mixed in:
-/// module text, entry, args, the whole spec draw, and the fault model.
-fn base_fingerprint(campaign: &Campaign<'_>, specs: &[InjectionSpec]) -> u64 {
-    wal_fingerprint_model(
-        &campaign.module().to_string(),
-        campaign.entry(),
-        campaign.args(),
-        specs,
-        &campaign.model().name(),
-    )
 }
 
 /// Records recovered from a WAL, keyed by global run index.
@@ -118,7 +105,9 @@ pub(crate) fn run_slice(
     let Some(path) = wal else {
         return Ok(campaign.run_specs(&local));
     };
-    let fp = wal_fingerprint_shard(base_fingerprint(campaign, specs), shard.index(), shard.of());
+    let fp = CampaignKey::of(campaign, Draw::Specs(specs))
+        .shard(shard)
+        .fingerprint();
     with_wal(path, fp, resume, |sink, records| {
         let mut recovered = BTreeMap::new();
         for (g, (spec, outcome)) in records {
@@ -322,11 +311,11 @@ fn stderr_tail(path: &Path) -> String {
 /// files, duplicates, and incomplete shard sets with exit 4.
 fn assign_shard_wals(
     wals: &[PathBuf],
-    base_fp: u64,
+    fingerprint: impl Fn(ShardSpec) -> u64,
 ) -> Result<Vec<(ShardSpec, &PathBuf)>, CliError> {
     let of = wals.len();
     let expect: BTreeMap<u64, usize> = (0..of)
-        .map(|i| (wal_fingerprint_shard(base_fp, i, of), i))
+        .map(|i| (fingerprint(ShardSpec::new(i, of).expect("i < of")), i))
         .collect();
     let mut seen: BTreeMap<usize, &PathBuf> = BTreeMap::new();
     for path in wals {
@@ -366,9 +355,10 @@ pub(crate) fn merge_wals(
     wals: &[PathBuf],
     failed: Option<&[usize]>,
 ) -> Result<(CampaignResult, usize), CliError> {
-    let base_fp = base_fingerprint(campaign, specs);
+    let whole = CampaignKey::of(campaign, Draw::Specs(specs)).fingerprint();
+    let fingerprint = |shard| CampaignKey::hashed(whole).shard(shard).fingerprint();
     let assigned = match failed {
-        None => assign_shard_wals(wals, base_fp)?,
+        None => assign_shard_wals(wals, fingerprint)?,
         Some(_) => wals
             .iter()
             .enumerate()
@@ -378,8 +368,7 @@ pub(crate) fn merge_wals(
     let mut merged = ShardOutcomes::empty();
     let mut salvaged = 0u64;
     for (shard, path) in assigned {
-        let fp = wal_fingerprint_shard(base_fp, shard.index(), shard.of());
-        let outcomes = match (WalSink::recover(path, fp), failed) {
+        let outcomes = match (WalSink::recover(path, fingerprint(shard)), failed) {
             (Ok((_, rec)), None) if rec.torn > 0 => {
                 return Err(CliError::input(format!(
                     "{}: {} torn record(s) — shard {shard} did not finish; re-run it with --resume",

@@ -27,8 +27,7 @@ use epvf_core::{
 use epvf_interp::{ExecConfig, Interpreter};
 use epvf_ir::{parse_module, Module};
 use epvf_llfi::{
-    wal_fingerprint_adaptive_model, Campaign, CampaignConfig, RunSession, SamplerConfig, ShardSpec,
-    WalError,
+    Campaign, CampaignConfig, CampaignKey, Draw, RunSession, SamplerConfig, ShardSpec, WalError,
 };
 use epvf_oracle::{
     calibrate, differential_check, hard_invariant_scan, outcome_label, parse_repro, replay_repro,
@@ -815,17 +814,7 @@ fn cmd_inject_sampled(t: &Target, campaign: &Campaign, opts: &InjectOpts) -> Res
 
     let report = match &opts.wal {
         Some(path) => {
-            let fp = wal_fingerprint_adaptive_model(
-                &t.module.to_string(),
-                Workload::ENTRY,
-                &t.args,
-                cfg.target_ci,
-                cfg.pilot,
-                cfg.batch,
-                cfg.max_runs,
-                cfg.seed,
-                &campaign.model().name(),
-            );
+            let fp = CampaignKey::of(campaign, Draw::Sampler(cfg)).fingerprint();
             executor::with_wal(path, fp, opts.resume, |sink, records| {
                 // Records are keyed by global run index in the
                 // deterministic execution sequence; the sampler replays

@@ -55,12 +55,13 @@ pub(crate) fn cmd_serve(rest: &[String]) -> Result<(), CliError> {
 mod unix {
     use crate::{executor, flag_value, parse_inject_opts, resolve, CliError};
     use epvf_core::{analyze_compositional, EpvfConfig, EpvfResult, SectionCache};
-    use epvf_ir::Module;
-    use epvf_llfi::{Campaign, GoldenArtifacts, SupervisorConfig, SupervisorEvent};
+    use epvf_ir::{Fnv64, Module};
+    use epvf_llfi::{
+        Campaign, CampaignKey, Draw, GoldenArtifacts, SupervisorConfig, SupervisorEvent,
+    };
     use epvf_telemetry::{add, Ctr};
     use epvf_workloads::Workload;
     use std::collections::HashMap;
-    use std::hash::{Hash, Hasher};
     use std::io::{BufRead, BufReader, Write};
     use std::os::unix::net::{UnixListener, UnixStream};
     use std::path::PathBuf;
@@ -231,12 +232,11 @@ mod unix {
     /// Cache key: everything [`GoldenArtifacts`] depend on. Module text
     /// (not the target name) so a re-dumped identical IR file hits.
     fn cache_key(module: &Module, args: &[u64], model_name: &str, ckpt_interval: u64) -> u64 {
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        module.to_string().hash(&mut h);
-        Workload::ENTRY.hash(&mut h);
-        args.hash(&mut h);
-        model_name.hash(&mut h);
-        ckpt_interval.hash(&mut h);
+        // The campaign's identity with no runs drawn, plus the interval.
+        let campaign =
+            CampaignKey::new(module, Workload::ENTRY, args, Draw::Specs(&[]), model_name);
+        let mut h = Fnv64::resume(campaign.fingerprint());
+        h.u64(ckpt_interval);
         h.finish()
     }
 

@@ -4,6 +4,7 @@
 //! detected and recomputed — never silently reused — and failures stay in
 //! the documented `CliError` exit-code families.
 
+use epvf_ir::fnv1a32;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
@@ -52,15 +53,6 @@ fn sect_files(dir: &Path) -> Vec<PathBuf> {
         .collect();
     files.sort();
     files
-}
-
-fn fnv1a32(bytes: &[u8]) -> u32 {
-    let mut h: u32 = 0x811c_9dc5;
-    for &b in bytes {
-        h ^= u32::from(b);
-        h = h.wrapping_mul(0x0100_0193);
-    }
-    h
 }
 
 #[test]

@@ -267,3 +267,74 @@ fn inject_wal_is_shard_zero_of_one() {
     );
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// Pull an integer counter out of a metrics JSON dump.
+fn counter(json: &str, name: &str) -> u64 {
+    let needle = format!("\"{name}\":");
+    let at = json
+        .find(&needle)
+        .unwrap_or_else(|| panic!("{name} missing in {json}"));
+    json[at + needle.len()..]
+        .chars()
+        .take_while(char::is_ascii_digit)
+        .collect::<String>()
+        .parse()
+        .expect("counter value")
+}
+
+/// A committed shard WAL from an earlier build — fault model `burst:2`
+/// at shard 1/2, so its header carries both the model and the shard
+/// stage of the fingerprint — still resumes: every record is recovered,
+/// none re-runs, and the summary matches a fresh run, which writes the
+/// same bytes.
+#[test]
+fn wal_from_an_earlier_build_still_resumes() {
+    let fixture = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/fixtures/lud-tiny-burst2-shard1of2.wal"
+    );
+    let dir = tmpdir("fixture");
+    let old = dir.join("old.wal");
+    let fresh = dir.join("fresh.wal");
+    let metrics = dir.join("metrics.json");
+    std::fs::copy(fixture, &old).expect("copy fixture");
+    let shard = |wal: &PathBuf, extra: &[&str]| {
+        let mut args = vec![
+            "shard",
+            "lud:tiny",
+            "200",
+            "7",
+            "--index",
+            "1",
+            "--of",
+            "2",
+            "--fault-model",
+            "burst:2",
+            "--threads",
+            "1",
+            "--wal",
+            wal.to_str().expect("utf8"),
+        ];
+        args.extend_from_slice(extra);
+        epvf(&args)
+    };
+
+    let resumed = shard(
+        &old,
+        &["--resume", "--metrics-out", metrics.to_str().expect("utf8")],
+    );
+    assert_eq!(resumed.code, 0, "{}", resumed.stderr);
+    let json = std::fs::read_to_string(&metrics).expect("metrics");
+    assert_eq!(counter(&json, "llfi.wal.records_recovered"), 100);
+    assert_eq!(counter(&json, "llfi.campaign.runs_total"), 0);
+
+    let run = shard(&fresh, &[]);
+    assert_eq!(run.code, 0, "{}", run.stderr);
+    assert_eq!(resumed.stdout, run.stdout);
+    assert_eq!(
+        std::fs::read(&fresh).expect("fresh WAL"),
+        std::fs::read(fixture).expect("fixture"),
+        "a fresh run writes the committed bytes"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}

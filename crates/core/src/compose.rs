@@ -29,68 +29,36 @@ use crate::propagation::{roots, CrashMap, CrashScope, PropSink, Root, TouchSet, 
 use crate::section_cache::{OpTarget, SectionCache, SummaryOp, SECT_VERSION};
 use epvf_ddg::{AceGraph, Ddg, NodeId, NodeKind};
 use epvf_interp::{section_runs, DynInst, Trace};
-use epvf_ir::{Module, SectionMap};
+use epvf_ir::{Fnv64, Module, SectionMap};
 use std::collections::HashMap;
-use std::fmt;
 
-const FNV64_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV64_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// FNV-1a/64 accumulator for cache keys.
-struct Key(u64);
-
-impl Key {
-    fn new() -> Key {
-        Key(FNV64_OFFSET)
-    }
-    fn bytes(&mut self, b: &[u8]) {
-        for &x in b {
-            self.0 = (self.0 ^ u64::from(x)).wrapping_mul(FNV64_PRIME);
+/// Fold an optional constraint into a cache key.
+fn hash_constraint(k: &mut Fnv64, c: Option<&crate::propagation::Constraint>) {
+    match c {
+        None => k.u8(0),
+        Some(c) => {
+            k.u8(1);
+            k.u64(c.range.lo);
+            k.u64(c.range.hi);
+            k.u64(c.value);
+            k.u32(c.width);
         }
-    }
-    fn u8(&mut self, v: u8) {
-        self.bytes(&[v]);
-    }
-    fn u32(&mut self, v: u32) {
-        self.bytes(&v.to_le_bytes());
-    }
-    fn u64(&mut self, v: u64) {
-        self.bytes(&v.to_le_bytes());
-    }
-    fn opt_constraint(&mut self, c: Option<&crate::propagation::Constraint>) {
-        match c {
-            None => self.u8(0),
-            Some(c) => {
-                self.u8(1);
-                self.u64(c.range.lo);
-                self.u64(c.range.hi);
-                self.u64(c.value);
-                self.u32(c.width);
-            }
-        }
-    }
-}
-
-impl fmt::Write for Key {
-    fn write_str(&mut self, s: &str) -> fmt::Result {
-        self.bytes(s.as_bytes());
-        Ok(())
     }
 }
 
 /// Per-sid FNV-1a/64 of each static instruction's textual form (the
 /// function-local rendering, so it is position-independent across modules).
 fn sid_text_hashes(module: &Module) -> Vec<u64> {
-    use fmt::Write as _;
+    use std::fmt::Write as _;
     let mut out = vec![0u64; module.n_static_insts as usize];
     for f in &module.functions {
         for inst in f.insts() {
-            let mut k = Key::new();
+            let mut k = Fnv64::new();
             let _ = write!(k, "{inst}");
             if inst.sid.index() >= out.len() {
                 out.resize(inst.sid.index() + 1, 0);
             }
-            out[inst.sid.index()] = k.0;
+            out[inst.sid.index()] = k.finish();
         }
     }
     out
@@ -256,7 +224,7 @@ fn section_key(
     pos: &HashMap<NodeId, u32>,
     sid_hash: &[u64],
 ) -> u64 {
-    let mut k = Key::new();
+    let mut k = Fnv64::new();
     k.u32(SECT_VERSION);
     // Config knobs that change the pass's semantics.
     k.u8(config.ace.include_control as u8);
@@ -307,7 +275,7 @@ fn section_key(
                 epvf_ddg::EdgeKind::Addr => 1,
             });
         }
-        k.opt_constraint(map.node_constraint(n));
+        hash_constraint(&mut k, map.node_constraint(n));
         match node.def_record {
             None => k.u8(0),
             Some(rec_idx) => {
@@ -318,7 +286,7 @@ fn section_key(
             }
         }
     }
-    k.0
+    k.finish()
 }
 
 /// Fold one closure record's runtime state into the key: result bits,
@@ -326,7 +294,7 @@ fn section_key(
 /// coordinates, and live-in use constraints.
 #[allow(clippy::too_many_arguments)]
 fn hash_record(
-    k: &mut Key,
+    k: &mut Fnv64,
     module: &Module,
     ddg: &Ddg,
     map: &CrashMap,
@@ -358,7 +326,7 @@ fn hash_record(
             Some(d) => k.u32(pos[&d]),
             None => k.u32(u32::MAX),
         }
-        k.opt_constraint(map.use_constraint(rec.idx, slot));
+        hash_constraint(k, map.use_constraint(rec.idx, slot));
     }
     match rec.mem.as_ref() {
         None => k.u8(0),

@@ -19,6 +19,7 @@
 
 use crate::propagation::Constraint;
 use crate::range::ValueRange;
+use epvf_ir::fnv1a32;
 use std::collections::HashMap;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -31,15 +32,6 @@ const SECT_MAGIC: &[u8; 8] = b"EPVFSEC1";
 pub(crate) const SECT_VERSION: u32 = 1;
 /// Serialized size of one [`SummaryOp`].
 const OP_BYTES: usize = 37;
-
-const FNV32_OFFSET: u32 = 0x811c_9dc5;
-const FNV32_PRIME: u32 = 0x0100_0193;
-
-fn fnv1a32(bytes: &[u8]) -> u32 {
-    bytes.iter().fold(FNV32_OFFSET, |h, &b| {
-        (h ^ u32::from(b)).wrapping_mul(FNV32_PRIME)
-    })
-}
 
 /// What kind of `CrashMap` key a [`SummaryOp`] writes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]

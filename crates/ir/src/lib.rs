@@ -34,6 +34,7 @@
 #![warn(missing_docs)]
 
 mod builder;
+mod fnv;
 mod inst;
 mod module;
 mod parse;
@@ -43,6 +44,7 @@ mod value;
 pub mod verify;
 
 pub use builder::{FunctionBuilder, ModuleBuilder};
+pub use fnv::{fnv1a32, Fnv64};
 pub use inst::{BinOp, CastOp, FBinOp, FUnOp, FcmpPred, IcmpPred, Inst, Op};
 pub use module::{Block, Function, Global, Module};
 pub use parse::{parse_module, ParseError};

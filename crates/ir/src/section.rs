@@ -15,35 +15,9 @@
 //! static half of the compositional engine's cache key; the dynamic half
 //! (boundary constraints, golden values) lives in `epvf-core`.
 
+use crate::fnv::Fnv64;
 use crate::module::Module;
 use crate::value::{BlockId, FuncId, StaticInstId};
-use std::fmt;
-
-const FNV64_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV64_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// Rolling FNV-1a/64 hasher over the section's textual content.
-struct Fnv64(u64);
-
-impl Fnv64 {
-    fn new() -> Self {
-        Fnv64(FNV64_OFFSET)
-    }
-    fn update(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(FNV64_PRIME);
-        }
-    }
-}
-
-/// `fmt::Write` adapter so `Display` text hashes without an intermediate
-/// `String` per instruction.
-impl fmt::Write for Fnv64 {
-    fn write_str(&mut self, s: &str) -> fmt::Result {
-        self.update(s.as_bytes());
-        Ok(())
-    }
-}
 
 /// What kind of region a section is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -231,21 +205,21 @@ fn push_section(
     kind: SectionKind,
     blocks: Vec<BlockId>,
 ) {
-    use fmt::Write as _;
+    use std::fmt::Write as _;
     let ordinal = sections.len() as u32;
     let mut h = Fnv64::new();
-    h.update(&[match kind {
-        SectionKind::LoopNest => 1u8,
-        SectionKind::Straight => 2u8,
-    }]);
+    h.u8(match kind {
+        SectionKind::LoopNest => 1,
+        SectionKind::Straight => 2,
+    });
     for (pos, bid) in blocks.iter().enumerate() {
         // Intra-section position (not the absolute block id) so the hash
         // is stable when sections shift around the function.
-        h.update(&(pos as u32).to_le_bytes());
+        h.u32(pos as u32);
         let block = &f.blocks[bid.index()];
         for inst in &block.insts {
             let _ = write!(h, "{inst}");
-            h.update(&[0u8]);
+            h.u8(0);
             if inst.sid.index() < by_sid.len() {
                 by_sid[inst.sid.index()] = ordinal;
             }
@@ -255,7 +229,7 @@ fn push_section(
         func: f.id,
         kind,
         blocks,
-        content_hash: h.0,
+        content_hash: h.finish(),
     });
 }
 

@@ -69,7 +69,6 @@ pub use supervisor::{
     ShardPlan, SupervisorConfig, SupervisorReport,
 };
 pub use wal::{
-    read_wal_fingerprint, wal_fingerprint, wal_fingerprint_adaptive,
-    wal_fingerprint_adaptive_model, wal_fingerprint_model, wal_fingerprint_shard, RecoveredWal,
+    read_wal_fingerprint, wal_fingerprint, wal_fingerprint_shard, CampaignKey, Draw, RecoveredWal,
     WalError, WalSink, WAL_MAGIC,
 };

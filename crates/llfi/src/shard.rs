@@ -3,8 +3,8 @@
 //! shards' outcomes back into an aggregate byte-identical to the
 //! single-process run.
 //!
-//! A campaign is pinned by its fingerprint (module text, entry, args, and
-//! the seeded spec list — see [`wal_fingerprint`](crate::wal_fingerprint)),
+//! A campaign is pinned by its fingerprint (module text, entry, args, the
+//! seeded spec list, and the fault model — see [`CampaignKey`](crate::CampaignKey)),
 //! so *which* runs exist is decided before any shard starts. Sharding only
 //! partitions the draw order: shard `i` of `S` owns every global spec index
 //! `g` with `g % S == i` (strided, so all shards see the same mix of early

@@ -15,18 +15,22 @@
 //!          ++ bit (u8) ++ outcome tag (u8) ++ outcome subtag (u8)
 //! ```
 //!
-//! The fingerprint binds the log to one exact campaign (module text,
-//! entry, args, and the full spec list), so a stale WAL from a different
-//! command is rejected instead of silently merged. Records are
-//! checksummed individually; recovery stops at the first torn or
-//! corrupt record and keeps everything before it — exactly the tail a
-//! crash mid-append can damage. Duplicate indices (possible when a crash
+//! The fingerprint is a [`CampaignKey`]'s, binding the log to one exact
+//! campaign, so a stale WAL from a different command is rejected instead
+//! of silently merged. Records are checksummed individually; recovery
+//! stops at the first torn or corrupt record and keeps everything before
+//! it — exactly the tail a crash mid-append can damage. Duplicate indices (possible when a crash
 //! lands between the outcome being applied and the batch being flushed
 //! on a later resume) are deduplicated latest-wins.
 
-use crate::campaign::InjOutcome;
+use crate::campaign::{Campaign, InjOutcome};
+use crate::sampler::SamplerConfig;
+use crate::shard::ShardSpec;
+use epvf_core::DEFAULT_MODEL;
 use epvf_interp::{CrashKind, InjectionSpec, TimeoutKind};
+use epvf_ir::{fnv1a32, Fnv64};
 use epvf_telemetry::Ctr;
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::fs::{File, OpenOptions};
@@ -57,103 +61,186 @@ fn flush_batch() -> usize {
     })
 }
 
-const FNV64_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV64_PRIME: u64 = 0x0000_0100_0000_01b3;
-const FNV32_OFFSET: u32 = 0x811c_9dc5;
-const FNV32_PRIME: u32 = 0x0100_0193;
-
-fn fnv1a32(bytes: &[u8]) -> u32 {
-    bytes.iter().fold(FNV32_OFFSET, |h, &b| {
-        (h ^ u32::from(b)).wrapping_mul(FNV32_PRIME)
-    })
+/// Which runs a campaign executes.
+#[derive(Debug, Clone, Copy)]
+pub enum Draw<'a> {
+    /// An explicit, ordered spec list (`epvf inject`, `shard`, `merge`).
+    Specs(&'a [InjectionSpec]),
+    /// An adaptive campaign (`epvf inject --sample`), whose spec sequence
+    /// is a pure function of the campaign and this configuration.
+    Sampler(SamplerConfig),
 }
 
-struct Fnv64(u64);
+/// The identity of one campaign execution: module text, entry, args, the
+/// draw, the fault model, and the shard. A WAL header carries its
+/// [`fingerprint`](CampaignKey::fingerprint), and
+/// [`recover`](WalSink::recover) refuses a log stamped with another.
+pub struct CampaignKey<'a> {
+    inputs: Inputs<'a>,
+    shard: ShardSpec,
+}
 
-impl Fnv64 {
-    fn new() -> Self {
-        Fnv64(FNV64_OFFSET)
-    }
-    fn update(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(FNV64_PRIME);
+enum Inputs<'a> {
+    Parts {
+        module: &'a dyn fmt::Display,
+        entry: &'a str,
+        args: &'a [u64],
+        draw: Draw<'a>,
+        model: Cow<'a, str>,
+    },
+    /// The fingerprint of some `Parts` under [`ShardSpec::WHOLE`].
+    Hashed(u64),
+}
+
+impl<'a> CampaignKey<'a> {
+    /// The whole campaign over `module`'s text under fault model `model`
+    /// (a canonical [`FaultModel::name`](epvf_core::FaultModel::name)).
+    pub fn new(
+        module: &'a dyn fmt::Display,
+        entry: &'a str,
+        args: &'a [u64],
+        draw: Draw<'a>,
+        model: impl Into<Cow<'a, str>>,
+    ) -> Self {
+        CampaignKey {
+            inputs: Inputs::Parts {
+                module,
+                entry,
+                args,
+                draw,
+                model: model.into(),
+            },
+            shard: ShardSpec::WHOLE,
         }
     }
+
+    /// The whole of `campaign` drawing `draw`.
+    pub fn of(campaign: &'a Campaign<'_>, draw: Draw<'a>) -> Self {
+        Self::new(
+            campaign.module(),
+            campaign.entry(),
+            campaign.args(),
+            draw,
+            campaign.model().name(),
+        )
+    }
+
+    /// The key whose whole-campaign fingerprint is `whole`: shards of it
+    /// fingerprint without the campaign inputs at hand.
+    pub fn hashed(whole: u64) -> Self {
+        CampaignKey {
+            inputs: Inputs::Hashed(whole),
+            shard: ShardSpec::WHOLE,
+        }
+    }
+
+    /// The same campaign restricted to `shard`.
+    pub fn shard(mut self, shard: ShardSpec) -> Self {
+        self.shard = shard;
+        self
+    }
+
+    /// The 64-bit FNV-1a fingerprint a WAL header stores: the key's fields
+    /// in order, delimited by the separator bytes `0xff`..`0xfb` below. The
+    /// default model and the whole partition add nothing, so a plain
+    /// single-bit-flip `epvf inject --wal` log, a `shard --index 0 --of 1`
+    /// log, and logs written before models and shards existed all share
+    /// one fingerprint.
+    pub fn fingerprint(&self) -> u64 {
+        use fmt::Write as _;
+        let mut h = match &self.inputs {
+            Inputs::Hashed(whole) => Fnv64::resume(*whole),
+            Inputs::Parts {
+                module,
+                entry,
+                args,
+                draw,
+                model,
+            } => {
+                let mut h = Fnv64::new();
+                // 0xff closes the module text and the entry (never a
+                // UTF-8 byte); the args are 8 bytes each.
+                let _ = write!(h, "{module}");
+                h.u8(0xff);
+                h.bytes(entry.as_bytes());
+                h.u8(0xff);
+                for &a in *args {
+                    h.u64(a);
+                }
+                match draw {
+                    // 0xfe: an explicit spec list, 13 bytes per spec.
+                    Draw::Specs(specs) => {
+                        h.u8(0xfe);
+                        for s in *specs {
+                            h.u64(s.dyn_idx);
+                            h.u32(s.operand_slot as u32);
+                            h.u8(s.bit);
+                        }
+                    }
+                    // 0xfd: an adaptive campaign's sampler configuration.
+                    Draw::Sampler(c) => {
+                        h.u8(0xfd);
+                        h.u64(c.target_ci.to_bits());
+                        h.u64(c.pilot as u64);
+                        h.u64(c.batch as u64);
+                        h.u64(c.max_runs as u64);
+                        h.u64(c.seed);
+                    }
+                }
+                // 0xfc: a non-default fault model's canonical name, so the
+                // same coordinates under two models never cross-resume.
+                if model != DEFAULT_MODEL {
+                    h.u8(0xfc);
+                    h.bytes(model.as_bytes());
+                }
+                h
+            }
+        };
+        // 0xfb: a real partition's (index, of), so a shard log never
+        // resumes or merges under another geometry, and `epvf merge` can
+        // tell which shard wrote a log by its header.
+        if self.shard.of() > 1 {
+            h.u8(0xfb);
+            h.u64(self.shard.index() as u64);
+            h.u64(self.shard.of() as u64);
+        }
+        h.finish()
+    }
 }
 
-/// Fingerprint of one exact campaign invocation: module text, entry,
-/// args, and the complete ordered spec list. A WAL carries this in its
-/// header; [`recover`](WalSink::recover) refuses to resume against a
-/// different fingerprint.
+/// Fingerprint of an exhaustive default-model campaign over `specs`:
+/// [`CampaignKey::fingerprint`] of [`Draw::Specs`].
 pub fn wal_fingerprint(
     module_text: &str,
     entry: &str,
     args: &[u64],
     specs: &[InjectionSpec],
 ) -> u64 {
-    let mut h = Fnv64::new();
-    h.update(module_text.as_bytes());
-    h.update(&[0xff]);
-    h.update(entry.as_bytes());
-    h.update(&[0xff]);
-    for &a in args {
-        h.update(&a.to_le_bytes());
-    }
-    h.update(&[0xfe]);
-    for s in specs {
-        h.update(&s.dyn_idx.to_le_bytes());
-        h.update(&(s.operand_slot as u32).to_le_bytes());
-        h.update(&[s.bit]);
-    }
-    h.0
+    CampaignKey::new(&module_text, entry, args, Draw::Specs(specs), DEFAULT_MODEL).fingerprint()
 }
 
-/// [`wal_fingerprint`] for a campaign under a named fault model. For the
-/// default model ([`epvf_core::DEFAULT_MODEL`]) this is **byte-identical**
-/// to `wal_fingerprint` — existing single-bit-flip WALs stay resumable.
-/// Any other model appends a `0xfc` domain separator plus the canonical
-/// model name, so the same spec coordinates under different models can
-/// never cross-resume.
-pub fn wal_fingerprint_model(
-    module_text: &str,
-    entry: &str,
-    args: &[u64],
-    specs: &[InjectionSpec],
-    model_name: &str,
-) -> u64 {
-    let base = wal_fingerprint(module_text, entry, args, specs);
-    model_domain(base, model_name)
-}
-
-/// Mix a non-default model name into a fingerprint (identity for the
-/// default model).
-fn model_domain(base: u64, model_name: &str) -> u64 {
-    if model_name == epvf_core::DEFAULT_MODEL {
-        return base;
-    }
-    let mut h = Fnv64(base);
-    h.update(&[0xfc]);
-    h.update(model_name.as_bytes());
-    h.0
-}
-
-/// Mix a shard's partition coordinates into a campaign fingerprint. The
-/// whole-campaign partition (`of <= 1`) is the **identity** — a 1-way
-/// shard WAL is interchangeable with a plain `epvf inject --wal` log.
-/// Real partitions append a `0xfb` domain separator plus `(index, of)`,
-/// so a shard's WAL can never be resumed under a different `--index`
-/// or `--of` (where its global record indices would map onto different
-/// runs) and `epvf merge` can identify which shard a log belongs to by
-/// trying each candidate `(i, of)` against the header.
+/// Fingerprint of shard `index` of `of` of the campaign whose whole
+/// fingerprint is `base`: [`CampaignKey::hashed`] restricted to the shard.
+/// The whole partition (`of <= 1`), like any invalid geometry, is `base`.
 pub fn wal_fingerprint_shard(base: u64, index: usize, of: usize) -> u64 {
-    if of <= 1 {
-        return base;
+    let shard = ShardSpec::new(index, of).unwrap_or(ShardSpec::WHOLE);
+    CampaignKey::hashed(base).shard(shard).fingerprint()
+}
+
+/// Length of a WAL header: magic plus fingerprint.
+const HEADER_LEN: usize = WAL_MAGIC.len() + 8;
+
+/// The fingerprint in a WAL file's leading bytes, or why they are not a
+/// WAL header: a short or foreign prefix.
+fn decode_header(head: &[u8]) -> Result<u64, WalError> {
+    let magic = head.len().min(WAL_MAGIC.len());
+    if head[..magic] != WAL_MAGIC[..magic] {
+        return Err(WalError::BadMagic);
     }
-    let mut h = Fnv64(base);
-    h.update(&[0xfb]);
-    h.update(&(index as u64).to_le_bytes());
-    h.update(&(of as u64).to_le_bytes());
-    h.0
+    let fp = head
+        .get(WAL_MAGIC.len()..HEADER_LEN)
+        .ok_or(WalError::TruncatedHeader)?;
+    Ok(u64::from_le_bytes(fp.try_into().expect("8 bytes")))
 }
 
 /// Read just the fingerprint from a WAL header without recovering the
@@ -163,91 +250,11 @@ pub fn wal_fingerprint_shard(base: u64, index: usize, of: usize) -> u64 {
 /// [`WalError::BadMagic`] / [`WalError::TruncatedHeader`] for files that
 /// are not WALs, [`WalError::Io`] on filesystem failures.
 pub fn read_wal_fingerprint(path: &Path) -> Result<u64, WalError> {
-    let mut head = [0u8; 16];
-    let mut file = File::open(path)?;
-    let mut got = 0;
-    while got < head.len() {
-        let n = file.read(&mut head[got..])?;
-        if n == 0 {
-            break;
-        }
-        got += n;
-    }
-    if got < head.len() {
-        return Err(if head[..got.min(8)] == WAL_MAGIC[..got.min(8)] {
-            WalError::TruncatedHeader
-        } else {
-            WalError::BadMagic
-        });
-    }
-    if &head[..8] != WAL_MAGIC {
-        return Err(WalError::BadMagic);
-    }
-    Ok(u64::from_le_bytes(head[8..16].try_into().expect("8 bytes")))
-}
-
-/// Fingerprint of one *adaptive* campaign invocation. An adaptive
-/// campaign's spec list is not known upfront (each round's allocation
-/// depends on earlier outcomes), but it **is** a pure function of the
-/// campaign inputs and the sampler configuration — so hashing those plus
-/// the exact config pins the execution sequence just as tightly as the
-/// explicit spec list does for [`wal_fingerprint`]. A `0xfd` domain
-/// separator keeps adaptive and exhaustive fingerprints disjoint even for
-/// identical module/entry/args.
-#[allow(clippy::too_many_arguments)]
-pub fn wal_fingerprint_adaptive(
-    module_text: &str,
-    entry: &str,
-    args: &[u64],
-    target_ci: f64,
-    pilot: usize,
-    batch: usize,
-    max_runs: usize,
-    seed: u64,
-) -> u64 {
-    let mut h = Fnv64::new();
-    h.update(module_text.as_bytes());
-    h.update(&[0xff]);
-    h.update(entry.as_bytes());
-    h.update(&[0xff]);
-    for &a in args {
-        h.update(&a.to_le_bytes());
-    }
-    h.update(&[0xfd]);
-    h.update(&target_ci.to_bits().to_le_bytes());
-    h.update(&(pilot as u64).to_le_bytes());
-    h.update(&(batch as u64).to_le_bytes());
-    h.update(&(max_runs as u64).to_le_bytes());
-    h.update(&seed.to_le_bytes());
-    h.0
-}
-
-/// [`wal_fingerprint_adaptive`] under a named fault model — same
-/// default-model identity and `0xfc` domain separation as
-/// [`wal_fingerprint_model`].
-#[allow(clippy::too_many_arguments)]
-pub fn wal_fingerprint_adaptive_model(
-    module_text: &str,
-    entry: &str,
-    args: &[u64],
-    target_ci: f64,
-    pilot: usize,
-    batch: usize,
-    max_runs: usize,
-    seed: u64,
-    model_name: &str,
-) -> u64 {
-    let base = wal_fingerprint_adaptive(
-        module_text,
-        entry,
-        args,
-        target_ci,
-        pilot,
-        batch,
-        max_runs,
-        seed,
-    );
-    model_domain(base, model_name)
+    let mut head = Vec::with_capacity(HEADER_LEN);
+    File::open(path)?
+        .take(HEADER_LEN as u64)
+        .read_to_end(&mut head)?;
+    decode_header(&head)
 }
 
 /// Why a WAL could not be opened or recovered.
@@ -379,6 +386,18 @@ fn decode_payload(p: &[u8]) -> Option<(usize, InjectionSpec, InjOutcome)> {
     Some((usize::try_from(index).ok()?, spec, outcome))
 }
 
+/// The record framed at the start of `bytes` and its framed length, or
+/// `None` for a torn or corrupt frame.
+fn decode_record(bytes: &[u8]) -> Option<((usize, InjectionSpec, InjOutcome), usize)> {
+    let len = u32::from_le_bytes(bytes.get(..4)?.try_into().ok()?) as usize;
+    let payload = bytes.get(4..4 + len)?;
+    let sum = u32::from_le_bytes(bytes.get(4 + len..8 + len)?.try_into().ok()?);
+    if sum != fnv1a32(payload) {
+        return None;
+    }
+    Some((decode_payload(payload)?, 8 + len))
+}
+
 struct WalInner {
     file: File,
     buf: Vec<u8>,
@@ -452,7 +471,11 @@ impl WalSink {
         file.write_all(WAL_MAGIC)?;
         file.write_all(&fingerprint.to_le_bytes())?;
         file.sync_data()?;
-        Ok(WalSink {
+        Ok(WalSink::over(path, file))
+    }
+
+    fn over(path: &Path, file: File) -> WalSink {
+        WalSink {
             path: path.to_path_buf(),
             inner: Mutex::new(WalInner {
                 file,
@@ -460,7 +483,7 @@ impl WalSink {
                 pending: 0,
                 first_error: None,
             }),
-        })
+        }
     }
 
     /// Recover an existing WAL: verify magic and fingerprint, scan intact
@@ -476,17 +499,7 @@ impl WalSink {
     pub fn recover(path: &Path, fingerprint: u64) -> Result<(WalSink, RecoveredWal), WalError> {
         let mut bytes = Vec::new();
         File::open(path)?.read_to_end(&mut bytes)?;
-        if bytes.len() < WAL_MAGIC.len() + 8 {
-            return Err(if bytes.starts_with(&WAL_MAGIC[..bytes.len().min(8)]) {
-                WalError::TruncatedHeader
-            } else {
-                WalError::BadMagic
-            });
-        }
-        if &bytes[..8] != WAL_MAGIC {
-            return Err(WalError::BadMagic);
-        }
-        let found = u64::from_le_bytes(bytes[8..16].try_into().expect("sliced 8 bytes"));
+        let found = decode_header(&bytes)?;
         if found != fingerprint {
             return Err(WalError::FingerprintMismatch {
                 expected: fingerprint,
@@ -495,61 +508,30 @@ impl WalSink {
         }
 
         let mut rec = RecoveredWal {
-            valid_len: 16,
+            valid_len: HEADER_LEN as u64,
             ..RecoveredWal::default()
         };
-        let mut pos = 16usize;
-        loop {
-            let Some(frame) = bytes.get(pos..pos + 4) else {
-                // Clean end (or a tail shorter than a length prefix).
-                rec.torn += u64::from(pos < bytes.len());
-                break;
-            };
-            let len = u32::from_le_bytes(frame.try_into().expect("sliced 4 bytes")) as usize;
-            let Some(payload) = bytes.get(pos + 4..pos + 4 + len) else {
-                rec.torn += 1;
-                break;
-            };
-            let Some(ck) = bytes.get(pos + 4 + len..pos + 8 + len) else {
-                rec.torn += 1;
-                break;
-            };
-            let stored = u32::from_le_bytes(ck.try_into().expect("sliced 4 bytes"));
-            if stored != fnv1a32(payload) {
-                rec.torn += 1;
-                break;
-            }
-            let Some((index, spec, outcome)) = decode_payload(payload) else {
+        let mut pos = HEADER_LEN;
+        while pos < bytes.len() {
+            // A torn or corrupt frame drops everything from it on: its
+            // length prefix cannot be trusted to find the next one.
+            let Some(((index, spec, outcome), framed)) = decode_record(&bytes[pos..]) else {
                 rec.torn += 1;
                 break;
             };
             if rec.outcomes.insert(index, (spec, outcome)).is_some() {
                 rec.duplicates += 1;
             }
-            pos += 8 + len;
+            pos += framed;
             rec.valid_len = pos as u64;
         }
         epvf_telemetry::add(Ctr::WalRecordsRecovered, rec.outcomes.len() as u64);
         epvf_telemetry::add(Ctr::WalRecordsTorn, rec.torn);
         epvf_telemetry::add(Ctr::WalDuplicatesDropped, rec.duplicates);
 
-        let file = OpenOptions::new().read(true).write(true).open(path)?;
+        let file = OpenOptions::new().append(true).open(path)?;
         file.set_len(rec.valid_len)?;
-        let mut file = file;
-        use std::io::Seek;
-        file.seek(io::SeekFrom::End(0))?;
-        Ok((
-            WalSink {
-                path: path.to_path_buf(),
-                inner: Mutex::new(WalInner {
-                    file,
-                    buf: Vec::new(),
-                    pending: 0,
-                    first_error: None,
-                }),
-            },
-            rec,
-        ))
+        Ok((WalSink::over(path, file), rec))
     }
 
     /// The file this sink appends to.
@@ -765,39 +747,38 @@ mod tests {
         assert_eq!(rec.outcomes[&1].1, InjOutcome::Detected);
     }
 
+    /// A campaign over module text `m`, entry `main`, args `[4]`.
+    fn key<'a>(draw: Draw<'a>, model: &'a str) -> CampaignKey<'a> {
+        CampaignKey::new(&"m", "main", &[4], draw, model)
+    }
+
+    fn sampler() -> SamplerConfig {
+        SamplerConfig {
+            target_ci: 0.05,
+            pilot: 10,
+            batch: 10,
+            max_runs: 100,
+            seed: 7,
+        }
+    }
+
     #[test]
     fn model_fingerprint_is_identity_for_default_and_disjoint_otherwise() {
         let specs = [spec(1, 0, 0)];
         let base = wal_fingerprint("m", "main", &[4], &specs);
         assert_eq!(
-            wal_fingerprint_model("m", "main", &[4], &specs, epvf_core::DEFAULT_MODEL),
+            key(Draw::Specs(&specs), DEFAULT_MODEL).fingerprint(),
             base,
             "default-model WALs must stay byte-compatible"
         );
-        let burst = wal_fingerprint_model("m", "main", &[4], &specs, "burst:2");
-        let ecc = wal_fingerprint_model("m", "main", &[4], &specs, "ecc:100");
+        let burst = key(Draw::Specs(&specs), "burst:2").fingerprint();
+        let ecc = key(Draw::Specs(&specs), "ecc:100").fingerprint();
         assert_ne!(burst, base);
         assert_ne!(ecc, base);
         assert_ne!(burst, ecc);
-        let abase = wal_fingerprint_adaptive("m", "main", &[4], 0.05, 10, 10, 100, 7);
-        assert_eq!(
-            wal_fingerprint_adaptive_model(
-                "m",
-                "main",
-                &[4],
-                0.05,
-                10,
-                10,
-                100,
-                7,
-                epvf_core::DEFAULT_MODEL
-            ),
-            abase
-        );
-        assert_ne!(
-            wal_fingerprint_adaptive_model("m", "main", &[4], 0.05, 10, 10, 100, 7, "skip"),
-            abase
-        );
+        let abase = key(Draw::Sampler(sampler()), DEFAULT_MODEL).fingerprint();
+        assert_ne!(abase, base);
+        assert_ne!(key(Draw::Sampler(sampler()), "skip").fingerprint(), abase);
     }
 
     #[test]
@@ -842,14 +823,101 @@ mod tests {
         let base = wal_fingerprint("m", "main", &[4], &specs);
         assert_eq!(base, 0xd13e_c838_d2df_077a);
         assert_eq!(
-            wal_fingerprint_model("m", "main", &[4], &specs, "burst:2"),
+            key(Draw::Specs(&specs), "burst:2").fingerprint(),
             0xa813_9b01_90f1_474c
         );
         assert_eq!(wal_fingerprint_shard(base, 1, 4), 0x95a1_ffae_9f45_a536);
         assert_eq!(
-            wal_fingerprint_adaptive_model("m", "main", &[4], 0.05, 10, 10, 100, 7, "skip"),
+            key(Draw::Sampler(sampler()), "skip").fingerprint(),
             0x464e_e9b0_66e1_2f29
         );
+        // What `inject --sample --wal` and `shard --fault-model burst:2
+        // --index 1 --of 4` stamp.
+        assert_eq!(
+            key(Draw::Sampler(sampler()), DEFAULT_MODEL).fingerprint(),
+            0x84ed_6aee_e49d_c9aa
+        );
+        assert_eq!(
+            key(Draw::Specs(&specs), "burst:2")
+                .shard(ShardSpec::new(1, 4).unwrap())
+                .fingerprint(),
+            0xd743_3878_7919_9070
+        );
+    }
+
+    /// Every truncation and every single-byte corruption of a 3-record
+    /// log reads back as a typed error or as the records wholly before the
+    /// damage: never a panic, never a record that was not written.
+    #[test]
+    fn recovery_is_total_over_truncations_and_byte_flips() {
+        let written = [
+            (0, spec(10, 0, 3), InjOutcome::Benign),
+            (1, spec(20, 1, 7), InjOutcome::Crash(CrashKind::Segfault)),
+            (
+                4,
+                spec(30, 0, 63),
+                InjOutcome::TimedOut(TimeoutKind::Deadline),
+            ),
+        ];
+        let p = scratch("total.wal");
+        let sink = WalSink::create(&p, 0xabcd).unwrap();
+        for (index, s, o) in written {
+            sink.append(index, s, o);
+        }
+        drop(sink);
+        let good = std::fs::read(&p).unwrap();
+        let record = 4 + PAYLOAD_LEN + 4;
+        assert_eq!(good.len(), HEADER_LEN + written.len() * record);
+        let intact_before = |at: usize| &written[..(at - HEADER_LEN) / record];
+        let read_back = |bytes: &[u8]| {
+            std::fs::write(&p, bytes).unwrap();
+            let header = read_wal_fingerprint(&p);
+            let records = WalSink::recover(&p, 0xabcd).map(|(_, rec)| {
+                rec.outcomes
+                    .into_iter()
+                    .map(|(index, (s, o))| (index, s, o))
+                    .collect::<Vec<_>>()
+            });
+            (header, records)
+        };
+
+        for cut in 0..=good.len() {
+            let (header, records) = read_back(&good[..cut]);
+            if cut < HEADER_LEN {
+                assert!(
+                    matches!(header, Err(WalError::TruncatedHeader)),
+                    "cut {cut}"
+                );
+                assert!(
+                    matches!(records, Err(WalError::TruncatedHeader)),
+                    "cut {cut}"
+                );
+            } else {
+                assert_eq!(header.unwrap(), 0xabcd, "cut {cut}");
+                assert_eq!(records.unwrap(), intact_before(cut), "cut {cut}");
+            }
+        }
+        for at in 0..good.len() {
+            for mask in [0x01u8, 0x80, 0xff] {
+                let mut bad = good.clone();
+                bad[at] ^= mask;
+                let (header, records) = read_back(&bad);
+                let what = format!("byte {at} ^ {mask:#04x}");
+                if at < WAL_MAGIC.len() {
+                    assert!(matches!(header, Err(WalError::BadMagic)), "{what}");
+                    assert!(matches!(records, Err(WalError::BadMagic)), "{what}");
+                } else if at < HEADER_LEN {
+                    assert_ne!(header.unwrap(), 0xabcd, "{what}");
+                    assert!(
+                        matches!(records, Err(WalError::FingerprintMismatch { .. })),
+                        "{what}"
+                    );
+                } else {
+                    assert_eq!(header.unwrap(), 0xabcd, "{what}");
+                    assert_eq!(records.unwrap(), intact_before(at), "{what}");
+                }
+            }
+        }
     }
 
     #[test]

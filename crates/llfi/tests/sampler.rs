@@ -3,9 +3,7 @@
 //! resume into the same report, and savings over exhaustive enumeration.
 
 use epvf_ir::{IcmpPred, Module, ModuleBuilder, Type, Value};
-use epvf_llfi::{
-    wal_fingerprint_adaptive, Campaign, CampaignConfig, RunSession, SamplerConfig, WalSink,
-};
+use epvf_llfi::{Campaign, CampaignConfig, CampaignKey, Draw, RunSession, SamplerConfig, WalSink};
 use std::collections::BTreeMap;
 
 /// A loop workload mixing integer arithmetic with memory traffic so the
@@ -127,16 +125,7 @@ fn chopped_wal_resume_reproduces_the_sampled_report() {
     let m = mixed_module(20);
     let cfg = sampler_cfg();
     let campaign = Campaign::new(&m, "main", &[], CampaignConfig::default()).expect("golden");
-    let fp = wal_fingerprint_adaptive(
-        &m.to_string(),
-        "main",
-        &[],
-        cfg.target_ci,
-        cfg.pilot,
-        cfg.batch,
-        cfg.max_runs,
-        cfg.seed,
-    );
+    let fp = CampaignKey::of(&campaign, Draw::Sampler(cfg)).fingerprint();
 
     let dir = tmpdir("wal-resume");
     let wal_path = dir.join("adaptive.wal");
@@ -192,16 +181,7 @@ fn adaptive_wal_records_global_run_indices() {
         ..SamplerConfig::default()
     };
     let campaign = Campaign::new(&m, "main", &[], CampaignConfig::default()).expect("golden");
-    let fp = wal_fingerprint_adaptive(
-        &m.to_string(),
-        "main",
-        &[],
-        cfg.target_ci,
-        cfg.pilot,
-        cfg.batch,
-        cfg.max_runs,
-        cfg.seed,
-    );
+    let fp = CampaignKey::of(&campaign, Draw::Sampler(cfg)).fingerprint();
     let dir = tmpdir("wal-indices");
     let wal_path = dir.join("adaptive.wal");
     let sink = WalSink::create(&wal_path, fp).expect("create");

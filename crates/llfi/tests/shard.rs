@@ -7,9 +7,8 @@
 use epvf_interp::InjectionSpec;
 use epvf_ir::{IcmpPred, Module, ModuleBuilder, Type, Value};
 use epvf_llfi::{
-    read_wal_fingerprint, wal_fingerprint_model, wal_fingerprint_shard, Campaign,
-    CampaignAggregate, CampaignConfig, CampaignResult, RunSession, ShardOutcomes, ShardSpec,
-    WalError, WalSink,
+    read_wal_fingerprint, wal_fingerprint_shard, Campaign, CampaignAggregate, CampaignConfig,
+    CampaignKey, CampaignResult, Draw, RunSession, ShardOutcomes, ShardSpec, WalError, WalSink,
 };
 use std::collections::BTreeMap;
 
@@ -101,13 +100,7 @@ fn shard_wals_round_trip_to_the_identical_result() {
     let campaign = Campaign::new(&m, "main", &[], CampaignConfig::default()).expect("golden");
     let specs = campaign.draw_specs(150, 23);
     let whole = campaign.run_specs(&specs);
-    let base = wal_fingerprint_model(
-        &m.to_string(),
-        "main",
-        &[],
-        &specs,
-        &campaign.model().name(),
-    );
+    let base = CampaignKey::of(&campaign, Draw::Specs(&specs)).fingerprint();
 
     let dir = tmpdir("roundtrip");
     let of = 3;
@@ -142,13 +135,7 @@ fn shard_wal_rejects_the_wrong_partition_geometry() {
     let m = kernel_module(30);
     let campaign = Campaign::new(&m, "main", &[], CampaignConfig::default()).expect("golden");
     let specs = campaign.draw_specs(60, 5);
-    let base = wal_fingerprint_model(
-        &m.to_string(),
-        "main",
-        &[],
-        &specs,
-        &campaign.model().name(),
-    );
+    let base = CampaignKey::of(&campaign, Draw::Specs(&specs)).fingerprint();
 
     let dir = tmpdir("geometry");
     let path = dir.join("s1of4.wal");
