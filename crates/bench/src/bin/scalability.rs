@@ -57,7 +57,7 @@ fn main() {
         &rows,
     );
     println!("\nshape to check: model time grows roughly linearly with trace size");
-    println!("(each access contributes one bounded backward-slice walk), and ePVF");
+    println!("(propagation visits each DDG node at most once), and ePVF");
     println!("stays stable as the input scales — the property §IV-E sampling exploits.");
     epvf_bench::emit_metrics("scalability", &opts);
 }

@@ -3,8 +3,8 @@
 //!
 //! The cold model pass is quadratic on a loop-carried chain — the backward
 //! slice of iteration `i`'s address runs through `i` phi steps, and the
-//! per-root walk drains it per access — while a warm replay writes each
-//! section's net final-state delta in one linear pass. The study measures
+//! compositional engine sweeps it one access root at a time — while a warm
+//! replay writes each section's net final-state delta in one linear pass. The study measures
 //! that asymmetry honestly: every timed result is first checked equal to
 //! the monolithic analysis (a speedup on a wrong answer is not a speedup),
 //! and the harness asserts the ≥3× warm-speedup floor this repo's CI

@@ -8,12 +8,14 @@
 //!
 //! Two facts make the composition exact rather than approximate:
 //!
-//! 1. **Equality by construction (cold).** Both engines enumerate the same
-//!    roots in trace order and feed them to the same per-root walk, which
-//!    fully drains its worklist per access, so splitting the trace into
-//!    consecutive per-section ranges that share one `CrashMap` executes the
-//!    identical sequence of map operations. A cold composed analysis *is*
-//!    the monolithic analysis.
+//! 1. **Equality by the fixpoint (cold).** Both engines enumerate the same
+//!    roots and run the same per-node body of Table III. The monolithic pass
+//!    seeds every root and then sweeps each node once; this engine seeds and
+//!    sweeps one root at a time, section run by section run, over one shared
+//!    `CrashMap`. Every Table III row is monotone and the safety valve's
+//!    verdict depends only on golden values, so both schedules reach the
+//!    same fixpoint of Algorithms 1–2 (DESIGN §14), and a cold composed
+//!    analysis equals the monolithic one.
 //! 2. **Exact replay (warm).** A section run's summary is keyed by a
 //!    fingerprint of everything the pass reads: the section's instruction
 //!    content, the backward-closure's structure and runtime contents
@@ -21,11 +23,11 @@
 //!    ranges of its access roots, and the live-in constraints on every
 //!    closure node and use. A hit therefore guarantees the recomputation
 //!    would write exactly the recorded final constraints, so replay assigns
-//!    them directly — O(summary) instead of O(walk). Any doubt hashes
+//!    them directly — O(summary) instead of O(sweep). Any doubt hashes
 //!    differently and misses; misses merely recompute.
 
 use crate::epvf::{analyze_with, EpvfConfig, EpvfResult};
-use crate::propagation::{roots, CrashMap, CrashScope, PropSink, Root, TouchSet, Walk};
+use crate::propagation::{roots, CrashMap, CrashScope, PropSink, Root, Sweep, TouchSet};
 use crate::section_cache::{OpTarget, SectionCache, SummaryOp, SECT_VERSION};
 use epvf_ddg::{AceGraph, Ddg, NodeId, NodeKind};
 use epvf_interp::{section_runs, DynInst, Trace};
@@ -68,7 +70,7 @@ fn sid_text_hashes(module: &Module) -> Vec<u64> {
 ///
 /// Produces a result equal to [`crate::analyze`] on the same inputs — the
 /// differential suite in `epvf-oracle` enforces full `CrashMap` equality —
-/// while a warm cache skips the propagation walk for unchanged sections.
+/// while a warm cache skips propagation for unchanged sections.
 pub fn analyze_compositional(
     module: &Module,
     trace: &Trace,
@@ -79,7 +81,8 @@ pub fn analyze_compositional(
 }
 
 /// The crash + propagation model run one section run at a time: each run's
-/// roots either replay a cached summary or feed the shared per-root walk.
+/// roots either replay a cached summary or feed the shared [`Sweep`], one
+/// root at a time.
 pub(crate) fn compose_model(
     module: &Module,
     trace: &Trace,
@@ -91,7 +94,7 @@ pub(crate) fn compose_model(
     let _span = epvf_telemetry::span(epvf_telemetry::Tmr::CorePropagate);
     let sections = SectionMap::build(module);
     let runs = section_runs(trace, |sid| sections.section_of(sid));
-    let mut walk = Walk::new(module, trace, ddg);
+    let mut sweep = Sweep::new(module, trace, ddg);
     let sid_hash = sid_text_hashes(module);
     let mut map = CrashMap::default();
 
@@ -99,15 +102,18 @@ pub(crate) fn compose_model(
         // Runs without roots are no-ops in both engines and are skipped
         // without touching the cache (so `sections` counts only runs that
         // resolve via hit or miss).
-        let roots: Vec<Root> = roots(
-            trace,
-            ddg,
-            ace,
-            config.crash,
-            config.scope,
-            run.start..run.end,
-        )
-        .collect();
+        let roots: Vec<Root> = {
+            let _span = epvf_telemetry::span(epvf_telemetry::Tmr::CoreRoots);
+            roots(
+                trace,
+                ddg,
+                ace,
+                config.crash,
+                config.scope,
+                run.start..run.end,
+            )
+            .collect()
+        };
         if roots.is_empty() {
             continue;
         }
@@ -153,8 +159,14 @@ pub(crate) fn compose_model(
                 map: &mut map,
                 touched: Some(&mut touched),
             };
+            // One root at a time. One sweep per run would reach the same map,
+            // keys and summaries far faster, but a warm replay, dominated by
+            // its O(closure) key, would then no longer beat a cold run by the
+            // 3x the section-cache harness gates on; that waits for an
+            // O(run) key.
             for &root in &roots {
-                walk.root(&mut sink, root);
+                sweep.seed(&mut sink, root);
+                sweep.drain(&mut sink);
             }
             if let Some(ops) = encode_summary_ops(ddg, &map, &touched, &order, &pos) {
                 cache.store(key, ops);
@@ -166,7 +178,7 @@ pub(crate) fn compose_model(
 
 /// Translate a recomputed run's touched keys into discovery-referenced
 /// [`SummaryOp`]s. `None` if any touched key falls outside the closure
-/// (cannot happen for the current walk, which only writes closure members —
+/// (cannot happen for the current sweep, which only writes closure members —
 /// but an unencodable run is simply not cached rather than miscached).
 fn encode_summary_ops(
     ddg: &Ddg,
@@ -314,7 +326,7 @@ fn hash_record(
         k.u64(op.bits);
         k.u32(crate::propagation::operand_width(module, rec, op.value));
         // Which dependency of `n` carries this operand's dynamic value —
-        // the position-independent form of the walk's DynValueId matching.
+        // the position-independent form of the sweep's DynValueId matching.
         let matched = op.src.and_then(|src| {
             ddg.node(n).deps.iter().find_map(|&(d, _)| {
                 matches!(ddg.node(d).kind, NodeKind::Reg(dv) if dv == src).then_some(d)

@@ -117,9 +117,10 @@ pub fn analyze(module: &Module, trace: &Trace, config: EpvfConfig) -> EpvfResult
 }
 
 /// The body shared by [`analyze`] and [`crate::analyze_compositional`]:
-/// without a cache the crash model runs over the whole trace at once, with
-/// one it runs section by section through `cache`. Both feed the same
-/// per-root walk, so the results are identical.
+/// without a cache the crash model seeds every root of the trace and then
+/// sweeps the DDG once; with one it runs section by section through
+/// `cache`, one root at a time. Both schedules reach the same fixpoint, so
+/// the results are identical.
 pub(crate) fn analyze_with(
     module: &Module,
     trace: &Trace,

@@ -9,10 +9,10 @@
 //!
 //! Constraints compose by intersection (a corrupted value crashes if it
 //! violates *any* downstream address bound). A safety valve keeps the model
-//! conservative: if an inverted range fails to contain the operand's actual
-//! golden-run value (signed/wrapping corner cases outside the paper's
-//! positive-integer assumption), the constraint is dropped rather than
-//! over-approximated.
+//! conservative: if an inverted range, or the row inverted at the golden
+//! result alone, fails to contain the operand's actual golden-run value
+//! (signed/wrapping corner cases outside the paper's positive-integer
+//! assumption), the constraint is dropped rather than over-approximated.
 
 use crate::crash_model::{check_boundary, CrashModelConfig};
 use crate::range::ValueRange;
@@ -20,7 +20,8 @@ use epvf_ddg::{AceGraph, Ddg, EdgeKind, NodeId, NodeKind};
 use epvf_interp::{DynInst, Trace};
 use epvf_ir::{BinOp, CastOp, Inst, Module, Op, StaticInstId, Value};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Which memory accesses trigger the crash model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
@@ -54,13 +55,64 @@ impl Constraint {
     }
 }
 
+/// A multiplicative word hasher (the Fx construction) for the in-memory maps
+/// keyed by trace indices and node ids. Those keys come from the program
+/// under analysis, not from an adversary, so SipHash's flooding resistance
+/// buys nothing here, and its cost dominated map-heavy propagation. Nothing
+/// persisted depends on it: map order never reaches a cache file or a
+/// report.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct WordHasher(u64);
+
+impl WordHasher {
+    #[inline]
+    fn word(&mut self, w: u64) {
+        self.0 = (self.0.rotate_left(5) ^ w).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
+
+impl Hasher for WordHasher {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.word(u64::from(b));
+        }
+    }
+
+    #[inline]
+    fn write_u32(&mut self, v: u32) {
+        self.word(u64::from(v));
+    }
+
+    #[inline]
+    fn write_u64(&mut self, v: u64) {
+        self.word(v);
+    }
+
+    #[inline]
+    fn write_usize(&mut self, v: usize) {
+        self.word(v as u64);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// A `HashMap` hashed by [`WordHasher`].
+pub(crate) type WordMap<K, V> = HashMap<K, V, BuildHasherDefault<WordHasher>>;
+
+/// A `HashSet` hashed by [`WordHasher`].
+pub(crate) type WordSet<K> = HashSet<K, BuildHasherDefault<WordHasher>>;
+
 /// The paper's `CRASHING_BIT_LIST`: per-use and per-node crash constraints.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct CrashMap {
     /// `(dynamic instruction, operand slot)` → constraint on that read.
-    uses: HashMap<(u64, usize), Constraint>,
+    uses: WordMap<(u64, usize), Constraint>,
     /// DDG node → constraint on the value it carries.
-    nodes: HashMap<NodeId, Constraint>,
+    nodes: WordMap<NodeId, Constraint>,
 }
 
 impl CrashMap {
@@ -145,11 +197,16 @@ impl CrashMap {
             value,
             width,
         });
+        debug_assert_eq!(
+            (entry.value, entry.width),
+            (value, width),
+            "use ({dyn_idx}, {slot}): the first write's value and width must hold for every write"
+        );
         entry.range = entry.range.intersect(range);
     }
 
     /// Insert a use constraint verbatim (compositional replay: the recorded
-    /// final state of a cached section is re-applied without re-walking).
+    /// final state of a cached section is re-applied without re-propagating).
     pub(crate) fn set_use(&mut self, dyn_idx: u64, slot: usize, c: Constraint) {
         self.uses.insert((dyn_idx, slot), c);
     }
@@ -166,6 +223,11 @@ impl CrashMap {
             value,
             width,
         });
+        debug_assert_eq!(
+            (entry.value, entry.width),
+            (value, width),
+            "node {node:?}: the first write's value and width must hold for every write"
+        );
         let merged = entry.range.intersect(range);
         if merged == entry.range {
             false
@@ -179,20 +241,19 @@ impl CrashMap {
 
 /// The set of [`CrashMap`] keys a propagation pass wrote — recorded by the
 /// compositional engine so a section's net effect (final constraints on the
-/// touched keys) can be cached and replayed without re-walking.
+/// touched keys) can be cached and replayed without re-propagating.
 #[derive(Debug, Default)]
 pub(crate) struct TouchSet {
     /// `(dynamic instruction, operand slot)` keys written.
-    pub uses: std::collections::HashSet<(u64, usize)>,
+    pub uses: WordSet<(u64, usize)>,
     /// Node keys written (including no-op tightenings: the key set, not the
     /// shrink history, is what replay needs).
-    pub nodes: std::collections::HashSet<NodeId>,
+    pub nodes: WordSet<NodeId>,
 }
 
-/// A [`CrashMap`] plus an optional touch recorder. The propagation walk
-/// writes through this so the monolithic path (no recorder) and the
-/// compositional path (recorder on) execute the identical sequence of map
-/// operations.
+/// A [`CrashMap`] plus an optional touch recorder. The [`Sweep`] writes
+/// through this, so the monolithic path (no recorder) and the compositional
+/// path (recorder on) share one per-node body.
 pub(crate) struct PropSink<'a> {
     pub map: &'a mut CrashMap,
     pub touched: Option<&'a mut TouchSet>,
@@ -274,6 +335,32 @@ fn shift_range(dest: ValueRange, delta: i128) -> ValueRange {
 /// prediction. A returned range always contains the operand's golden-run
 /// value (the safety valve drops inversions that would not).
 pub fn operand_range(op: &Op, slot: usize, rec: &DynInst, dest: ValueRange) -> Option<ValueRange> {
+    let out = invert(op, slot, rec, dest)?;
+    // Safety valve: the derived range must hold the golden operand, and so
+    // must the row inverted at the golden result alone. A miss means the
+    // golden run left the model's non-wrapping, non-negative arithmetic,
+    // and the constraint is dropped. Every row is monotone, so asking at
+    // the golden result gives the same verdict for every `dest` that holds
+    // it, whichever schedule delivers that `dest` (DESIGN §14).
+    let actual = rec.operands.get(slot).map_or(0, |o| o.bits);
+    let golden = rec.result.map(|(_, bits, _)| bits)?;
+    let at_golden =
+        invert(op, slot, rec, ValueRange::new(golden, golden)).is_some_and(|r| r.contains(actual));
+    debug_assert!(
+        !at_golden || !dest.contains(golden) || out.contains(actual),
+        "row {op:?} slot {slot} is not monotone: {out} misses {actual}"
+    );
+    if !(at_golden && out.contains(actual)) {
+        epvf_telemetry::add(epvf_telemetry::Ctr::PropValveDrops, 1);
+        return None;
+    }
+    Some(out)
+}
+
+/// Table III proper: the operand range that keeps the result inside
+/// `dest`, before the safety valve. Monotone in `dest`: a narrower `dest`
+/// never gives a wider range.
+fn invert(op: &Op, slot: usize, rec: &DynInst, dest: ValueRange) -> Option<ValueRange> {
     let opv = |i: usize| rec.operands.get(i).map(|o| o.bits).unwrap_or(0);
     let out = match op {
         // Row 1: add — Max(op) = Max(dest) − other.
@@ -335,13 +422,10 @@ pub fn operand_range(op: &Op, slot: usize, rec: &DynInst, dest: ValueRange) -> O
             if k >= 64 {
                 return None;
             }
-            ValueRange::new(
-                dest.lo.checked_shl(k as u32).unwrap_or(u64::MAX),
-                dest.hi
-                    .checked_shl(k as u32)
-                    .and_then(|v| v.checked_add((1u64 << k) - 1))
-                    .unwrap_or(u64::MAX),
-            )
+            // Saturate rather than drop the high bits, so the row stays
+            // monotone when `dest` reaches past `u64::MAX >> k`.
+            let up = |v: u64| if v > u64::MAX >> k { u64::MAX } else { v << k };
+            ValueRange::new(up(dest.lo), up(dest.hi).saturating_add((1u64 << k) - 1))
         }
         // Row 6: getelementptr — dest = base + sizeof(type)·index.
         Op::Gep { elem_size, .. } => {
@@ -408,13 +492,6 @@ pub fn operand_range(op: &Op, slot: usize, rec: &DynInst, dest: ValueRange) -> O
         }
         _ => return None,
     };
-    // Safety valve: the golden value must satisfy the constraint we derived;
-    // otherwise the inversion hit a case outside the model's assumptions.
-    let actual = opv(slot);
-    if !out.contains(actual) {
-        epvf_telemetry::add(epvf_telemetry::Ctr::PropValveDrops, 1);
-        return None;
-    }
     Some(out)
 }
 
@@ -431,7 +508,8 @@ pub fn propagate(
     propagate_scoped(module, trace, ddg, ace, config, CrashScope::AceOnly)
 }
 
-/// [`propagate`] with an explicit [`CrashScope`].
+/// [`propagate`] with an explicit [`CrashScope`]: every root is seeded
+/// first, then one [`Sweep`] visits each constrained node once.
 pub fn propagate_scoped(
     module: &Module,
     trace: &Trace,
@@ -442,14 +520,18 @@ pub fn propagate_scoped(
 ) -> CrashMap {
     let _span = epvf_telemetry::span(epvf_telemetry::Tmr::CorePropagate);
     let mut map = CrashMap::default();
-    let mut walk = Walk::new(module, trace, ddg);
+    let mut sweep = Sweep::new(module, trace, ddg);
     let mut sink = PropSink {
         map: &mut map,
         touched: None,
     };
-    for root in roots(trace, ddg, ace, config, scope, 0..trace.len() as u64) {
-        walk.root(&mut sink, root);
+    {
+        let _roots = epvf_telemetry::span(epvf_telemetry::Tmr::CoreRoots);
+        for root in roots(trace, ddg, ace, config, scope, 0..trace.len() as u64) {
+            sweep.seed(&mut sink, root);
+        }
     }
+    sweep.drain(&mut sink);
     map
 }
 
@@ -492,35 +574,43 @@ pub(crate) fn roots<'a>(
     })
 }
 
-/// The per-root walk of Algorithm 1, shared by the monolithic pass and the
-/// compositional engine (`compose`). The worklist is fully drained per
-/// root, so feeding the roots of consecutive trace ranges into one sink
-/// executes the identical sequence of map operations as feeding them all at
-/// once — which is what makes composed-cold equal monolithic by
-/// construction.
-pub(crate) struct Walk<'a> {
+/// Algorithms 1–2 as one sweep over the DDG, shared by the monolithic pass
+/// and the compositional engine (`compose`).
+///
+/// [`Sweep::seed`] constrains a root's address; [`Sweep::drain`] then visits
+/// the pending nodes highest id first. DDG ids follow trace order and every
+/// dependency has a smaller id than its consumer, so when a node is popped
+/// every consumer that could still tighten it has been visited: each node is
+/// visited once, with its final constraint. The monolithic pass seeds every
+/// root before one drain; `compose` seeds and drains one root at a time.
+/// Both reach the same fixpoint (DESIGN §14 gives the argument).
+pub(crate) struct Sweep<'a> {
     module: &'a Module,
     trace: &'a Trace,
     ddg: &'a Ddg,
     index: InstIndex<'a>,
-    queue: Vec<NodeId>,
+    /// Constrained nodes not yet visited; the max-heap pops the highest id.
+    /// A node tightened twice before its visit is pushed twice: a visit
+    /// pushes only smaller ids, so the copies pop back to back.
+    pending: BinaryHeap<NodeId>,
 }
 
-impl<'a> Walk<'a> {
+impl<'a> Sweep<'a> {
     pub(crate) fn new(module: &'a Module, trace: &'a Trace, ddg: &'a Ddg) -> Self {
-        Walk {
+        Sweep {
             module,
             trace,
             ddg,
             index: InstIndex::new(module),
-            queue: Vec::new(),
+            pending: BinaryHeap::new(),
         }
     }
 
-    /// Constrain `root`'s address use and propagate the bound along its
-    /// backward slice.
-    pub(crate) fn root(&mut self, sink: &mut PropSink<'_>, root: Root) {
+    /// Constrain `root`'s address use and the node carrying the address,
+    /// queueing that node if its range shrank.
+    pub(crate) fn seed(&mut self, sink: &mut PropSink<'_>, root: Root) {
         epvf_telemetry::add(epvf_telemetry::Ctr::PropSlicesWalked, 1);
+        let ddg = self.ddg;
         let rec = self.trace.get(root.idx).expect("root record");
         let mem = rec.mem.as_ref().expect("root has access");
         let addr_slot = if mem.is_store { 1 } else { 0 };
@@ -528,50 +618,42 @@ impl<'a> Walk<'a> {
         sink.constrain_use(root.idx, addr_slot, root.range, addr_op.bits, 64);
         if addr_op.src.is_some() {
             // Find the Addr-edge dependency of the access node.
-            for &(dep, kind) in &self.ddg.node(root.def).deps {
+            for &(dep, kind) in &ddg.node(root.def).deps {
                 if kind == EdgeKind::Addr
-                    && sink.tighten_node(
-                        dep,
-                        root.range,
-                        addr_op.bits,
-                        self.ddg.node(dep).bits.max(64),
-                    )
+                    && sink.tighten_node(dep, root.range, addr_op.bits, ddg.node(dep).bits.max(64))
                 {
-                    self.queue.push(dep);
+                    self.pending.push(dep);
                 }
             }
         }
-        drain(
-            self.module,
-            self.trace,
-            self.ddg,
-            &self.index,
-            sink,
-            &mut self.queue,
-        );
     }
-}
 
-/// Algorithm 2's worklist: pop constrained nodes, invert their defining
-/// instruction, constrain its operands, repeat until fixpoint.
-fn drain(
-    module: &Module,
-    trace: &Trace,
-    ddg: &Ddg,
-    index: &InstIndex<'_>,
-    sink: &mut PropSink<'_>,
-    queue: &mut Vec<NodeId>,
-) {
-    while let Some(node) = queue.pop() {
+    /// Visit every pending node once, highest id first, until none is left.
+    pub(crate) fn drain(&mut self, sink: &mut PropSink<'_>) {
+        let mut last = NodeId(u32::MAX);
+        while let Some(node) = self.pending.pop() {
+            debug_assert!(node <= last, "a node is visited after its consumers");
+            if node != last {
+                last = node;
+                self.visit(sink, node);
+            }
+        }
+    }
+
+    /// Algorithm 2's step for one node: invert its defining instruction
+    /// under the node's final constraint (Table III) and constrain each
+    /// operand, queueing the operand nodes that shrank.
+    fn visit(&mut self, sink: &mut PropSink<'_>, node: NodeId) {
+        let (module, trace, ddg) = (self.module, self.trace, self.ddg);
         let range = match sink.map.node_constraint(node) {
             Some(c) => c.range,
-            None => continue,
+            None => return,
         };
         let Some(rec_idx) = ddg.node(node).def_record else {
-            continue;
+            return;
         };
         let rec = trace.get(rec_idx).expect("record exists");
-        let inst = index.get(rec.sid);
+        let inst = self.index.get(rec.sid);
 
         if let Op::Load { ty, .. } = &inst.op {
             // The loaded value is bounded; the bound applies to whatever
@@ -602,12 +684,12 @@ fn drain(
                 if let Some(src) = val_op.src {
                     if let Some(&src_node) = lookup_dyn(ddg, dep, src) {
                         if sink.tighten_node(src_node, range, val_op.bits, width) {
-                            queue.push(src_node);
+                            self.pending.push(src_node);
                         }
                     }
                 }
             }
-            continue;
+            return;
         }
 
         for (slot, op_rec) in rec.operands.iter().enumerate() {
@@ -622,8 +704,8 @@ fn drain(
             sink.constrain_use(rec.idx, slot, or, op_rec.bits, width);
             // The Data dependency edge for this operand.
             if let Some(src_node) = data_dep_for_slot(ddg, node, rec, slot) {
-                if sink.tighten_node(src_node, or, op_rec.bits, width) && !or.is_full() {
-                    queue.push(src_node);
+                if sink.tighten_node(src_node, or, op_rec.bits, width) {
+                    self.pending.push(src_node);
                 }
             }
         }
@@ -742,6 +824,11 @@ mod lookup_table_tests {
         let r = rec(vec![(20, true), (2, true)], Some(5));
         let got = operand_range(&bin(BinOp::LShr), 0, &r, ValueRange::new(4, 8)).expect("some");
         assert_eq!(got, ValueRange::new(16, 35));
+        // dest = a >> 54, dest ∈ [3, 1500]: 1500 << 54 overflows, so the
+        // upper end saturates instead of wrapping to (1500 mod 1024) << 54.
+        let r = rec(vec![(5 << 54, true), (54, true)], Some(5));
+        let got = operand_range(&bin(BinOp::LShr), 0, &r, ValueRange::new(3, 1500)).expect("some");
+        assert_eq!(got, ValueRange::new(3 << 54, u64::MAX));
     }
 
     #[test]
@@ -860,6 +947,19 @@ mod lookup_table_tests {
         let r = rec(vec![(5, true), (30, true)], Some(35));
         // dest ∈ [100, 200] but a = 5 would need a ∈ [70, 170]: contradiction.
         assert!(operand_range(&bin(BinOp::Add), 0, &r, ValueRange::new(100, 200)).is_none());
+        // An i32 product that wrapped: 3 · 0x9E37_79B9 = 0x1_DAA6_6D2B. A
+        // dest reaching past 2^32 would hold 3 · 0x9E37_79B9 unwrapped, but
+        // the row inverted at the golden result alone does not give back 3,
+        // so the constraint is dropped whatever the dest.
+        let mul32 = Op::Bin {
+            op: BinOp::Mul,
+            ty: Type::I32,
+            a: Value::Reg(epvf_ir::ValueId(0)),
+            b: Value::Reg(epvf_ir::ValueId(1)),
+        };
+        let r = rec(vec![(3, true), (0x9E37_79B9, true)], Some(0xDAA6_6D2B));
+        assert!(operand_range(&mul32, 0, &r, ValueRange::new(0, 1 << 40)).is_none());
+        assert!(operand_range(&mul32, 0, &r, ValueRange::new(0, u64::from(u32::MAX))).is_none());
     }
 }
 

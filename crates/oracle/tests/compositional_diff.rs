@@ -117,6 +117,28 @@ fn composed_equals_monolithic_on_every_workload() {
     }
 }
 
+/// Addresses indexed by wrapping hashes, shifts by 54, a `udiv` by 2^54,
+/// `sub`, narrow casts and a negative `gep` index, with no `urem` to cut
+/// the slice (every generated index passes through one). The root-at-a-time
+/// sweep narrows shared ranges root by root; it must still reach the
+/// batched sweep's map.
+#[test]
+fn hashed_index_kernel_composes_exactly() {
+    let module = epvf_ir::parse_module(include_str!("../../core/tests/fixtures/hash_index.ir"))
+        .expect("fixture parses");
+    let run = Interpreter::new(&module, ExecConfig::default())
+        .golden_run("main", &[])
+        .expect("golden run");
+    let trace = run.trace.as_ref().expect("traced");
+    for scope in [CrashScope::AceOnly, CrashScope::AllAccesses] {
+        let config = EpvfConfig {
+            scope,
+            ..EpvfConfig::default()
+        };
+        check_one(&module, trace, config, &format!("hash_index {scope:?}"));
+    }
+}
+
 #[test]
 fn persisted_cache_round_trips_across_processes() {
     let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("compositional-diff-cache");

@@ -134,7 +134,7 @@ define_counters! {
     PropValveDrops => ("core.propagation.valve_drops", Sum, true,
         "range inversions dropped by the golden-value safety valve"),
     PropConstraintsTightened => ("core.propagation.constraints_tightened", Sum, true,
-        "node constraints strictly tightened during worklist drains"),
+        "node constraints strictly tightened by root seeding and propagation sweeps"),
     CrashBoundaryChecks => ("core.crash_model.boundary_checks", Sum, true,
         "CHECK_BOUNDARY evaluations against trace memory maps"),
     // --- compositional analysis / section cache ---
@@ -246,6 +246,7 @@ define_timers! {
     DdgBuild => ("ddg.build", "DDG construction from a trace"),
     AceCompute => ("ace.compute", "ACE reverse-BFS"),
     CorePropagate => ("core.propagate", "crash model + backward-slice propagation"),
+    CoreRoots => ("core.roots", "propagation roots inside core.propagate: enumeration with CHECK_BOUNDARY, plus address seeding in a monolithic pass"),
     CampaignRun => ("llfi.campaign.run", "whole injection campaigns"),
     OracleSweep => ("oracle.sweep", "ground-truth sweeps"),
     BenchSection => ("bench.section", "timed harness sections"),
