@@ -562,7 +562,9 @@ fn merge_metrics_files(files: &[PathBuf]) -> Result<MetricsSnapshot, CliError> {
         for line in text.lines().filter(|l| !l.trim().is_empty()) {
             let report = MetricsReport::parse(line)
                 .map_err(|e| CliError::input(format!("{}: {e}", file.display())))?;
-            merged.merge(&report.snapshot);
+            merged
+                .merge(&report.snapshot)
+                .map_err(|e| CliError::input(format!("{}: {e}", file.display())))?;
             parsed += 1;
         }
         if parsed == 0 {

@@ -88,6 +88,43 @@ fn inject_outcome_classes_sum_to_total_runs() {
     );
 }
 
+/// The work a campaign does, pinned by value: the interpreter's runs,
+/// instructions, loads, stores and checkpoints, the memory simulator's
+/// access checks, page copies and page materializations, and the runs that
+/// rejoined the golden run early. Outcome percentages alone would not
+/// notice a change that validates fewer accesses or replays more
+/// instructions. How pages are looked up and how the interpreter schedules
+/// its checks must not move these values.
+#[test]
+fn inject_work_counters_are_pinned() {
+    const NAMES: [&str; 9] = [
+        "interp.runs",
+        "interp.insts_retired",
+        "interp.loads",
+        "interp.stores",
+        "interp.checkpoints_taken",
+        "memsim.fault_checks",
+        "memsim.cow_page_copies",
+        "memsim.pages_materialized",
+        "llfi.campaign.early_benign",
+    ];
+    for (target, want) in [
+        (
+            "mm:tiny",
+            [302, 416_932, 47_768, 3_610, 5, 51_378, 219, 75, 10],
+        ),
+        (
+            "bfs:tiny",
+            [302, 332_798, 36_355, 31_787, 7, 68_142, 249, 56, 35],
+        ),
+    ] {
+        let report = run_with_metrics(&["inject", target, "200", "7", "--threads", "1"]);
+        let got = NAMES.map(|n| (n, report.snapshot.counter(n)));
+        let want: Vec<_> = NAMES.into_iter().zip(want).collect();
+        assert_eq!(got.to_vec(), want, "{target}");
+    }
+}
+
 /// The invariant subset of the snapshot for one epvf command line.
 fn invariant_subset(args: &[&str]) -> BTreeMap<String, u64> {
     run_with_metrics(args).snapshot.invariant_subset()
@@ -162,4 +199,66 @@ fn metrics_check_validates_and_rejects() {
     );
     std::fs::remove_file(&good).ok();
     std::fs::remove_file(&bad).ok();
+}
+
+#[test]
+fn hostile_counter_breaks_a_law_and_refuses_to_merge() {
+    // A campaign's own metrics, with one class counter set to u64::MAX:
+    // summing the classes overflows, and so does merging two copies.
+    let dir = std::env::temp_dir();
+    let wal = dir.join(format!("epvf-hostile-{}.wal", std::process::id()));
+    let doc = dir.join(format!("epvf-hostile-{}.json", std::process::id()));
+    std::fs::remove_file(&wal).ok();
+    let wal_arg = wal.to_str().expect("utf8");
+    let mut report = run_with_metrics(&[
+        "inject",
+        "mm:tiny",
+        "50",
+        "7",
+        "--threads",
+        "1",
+        "--wal",
+        wal_arg,
+    ]);
+    report
+        .snapshot
+        .counters
+        .insert("llfi.campaign.runs_crash".into(), u64::MAX);
+    report.write_file(&doc).expect("writes");
+    let doc_arg = doc.to_str().expect("utf8");
+    let epvf = |args: &[&str]| {
+        Command::new(env!("CARGO_BIN_EXE_epvf"))
+            .args(args)
+            .output()
+            .expect("epvf runs")
+    };
+
+    let check = epvf(&["metrics-check", doc_arg]);
+    let stderr = String::from_utf8_lossy(&check.stderr);
+    assert_eq!(check.status.code(), Some(7), "{stderr}");
+    assert!(
+        stderr.contains("campaign outcome classes sum to more than u64::MAX"),
+        "{stderr}"
+    );
+
+    let merge = epvf(&[
+        "merge",
+        "mm:tiny",
+        "50",
+        "7",
+        "--wal",
+        wal_arg,
+        "--metrics-in",
+        doc_arg,
+        "--metrics-in",
+        doc_arg,
+    ]);
+    let stderr = String::from_utf8_lossy(&merge.stderr);
+    assert_eq!(merge.status.code(), Some(4), "{stderr}");
+    assert!(
+        stderr.contains("merging `llfi.campaign.runs_crash` overflows u64"),
+        "{stderr}"
+    );
+    std::fs::remove_file(&wal).ok();
+    std::fs::remove_file(&doc).ok();
 }

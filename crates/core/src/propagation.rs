@@ -19,9 +19,9 @@ use crate::range::ValueRange;
 use epvf_ddg::{AceGraph, Ddg, EdgeKind, NodeId, NodeKind};
 use epvf_interp::{DynInst, Trace};
 use epvf_ir::{BinOp, CastOp, Inst, Module, Op, StaticInstId, Value};
+use epvf_memsim::{WordMap, WordSet};
 use serde::{Deserialize, Serialize};
-use std::collections::{BinaryHeap, HashMap, HashSet};
-use std::hash::{BuildHasherDefault, Hasher};
+use std::collections::BinaryHeap;
 
 /// Which memory accesses trigger the crash model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
@@ -54,57 +54,6 @@ impl Constraint {
         self.range.crash_bit_count(self.value, self.width)
     }
 }
-
-/// A multiplicative word hasher (the Fx construction) for the in-memory maps
-/// keyed by trace indices and node ids. Those keys come from the program
-/// under analysis, not from an adversary, so SipHash's flooding resistance
-/// buys nothing here, and its cost dominated map-heavy propagation. Nothing
-/// persisted depends on it: map order never reaches a cache file or a
-/// report.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct WordHasher(u64);
-
-impl WordHasher {
-    #[inline]
-    fn word(&mut self, w: u64) {
-        self.0 = (self.0.rotate_left(5) ^ w).wrapping_mul(0x517c_c1b7_2722_0a95);
-    }
-}
-
-impl Hasher for WordHasher {
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.word(u64::from(b));
-        }
-    }
-
-    #[inline]
-    fn write_u32(&mut self, v: u32) {
-        self.word(u64::from(v));
-    }
-
-    #[inline]
-    fn write_u64(&mut self, v: u64) {
-        self.word(v);
-    }
-
-    #[inline]
-    fn write_usize(&mut self, v: usize) {
-        self.word(v as u64);
-    }
-
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-/// A `HashMap` hashed by [`WordHasher`].
-pub(crate) type WordMap<K, V> = HashMap<K, V, BuildHasherDefault<WordHasher>>;
-
-/// A `HashSet` hashed by [`WordHasher`].
-pub(crate) type WordSet<K> = HashSet<K, BuildHasherDefault<WordHasher>>;
 
 /// The paper's `CRASHING_BIT_LIST`: per-use and per-node crash constraints.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]

@@ -460,6 +460,16 @@ struct Exec<'m, 'r> {
     /// When the run started, set only under a wall-clock deadline so
     /// deadline-free runs never touch the clock.
     deadline_start: Option<std::time::Instant>,
+    /// The event horizon: no per-position check (ECC scrub, checkpoint,
+    /// rendezvous, hang budget, watchdogs) can fire before this dynamic
+    /// index, so the hot path compares `dyn_count >= next_event` and
+    /// nothing else. Starts at 0, so the first loop top runs every check;
+    /// [`Self::schedule_events`] recomputes it after each slow path, and
+    /// code that arms an event mid-run lowers it.
+    next_event: u64,
+    /// Staging for one phi batch's `(register, value)` results, reused
+    /// across batches.
+    phi_stage: Vec<(ValueId, u64)>,
 }
 
 /// How `exec_loop` ended.
@@ -505,6 +515,8 @@ impl<'m, 'r> Exec<'m, 'r> {
             mem_stats_base: MemStats::default(),
             flushed: false,
             deadline_start: config.deadline.map(|_| std::time::Instant::now()),
+            next_event: 0,
+            phi_stage: Vec::new(),
         }
     }
 
@@ -541,6 +553,8 @@ impl<'m, 'r> Exec<'m, 'r> {
             mem_stats_base: snap.mem.stats(),
             flushed: false,
             deadline_start: config.deadline.map(|_| std::time::Instant::now()),
+            next_event: 0,
+            phi_stage: Vec::new(),
         }
     }
 
@@ -737,8 +751,7 @@ impl<'m, 'r> Exec<'m, 'r> {
         None
     }
 
-    /// Whether any watchdog is armed (skips the per-instruction checks on
-    /// the common unarmed path).
+    /// Whether any watchdog is armed.
     fn watchdog_armed(&self) -> bool {
         self.config.fuel.is_some()
             || self.config.deadline.is_some()
@@ -759,26 +772,77 @@ impl<'m, 'r> Exec<'m, 'r> {
         }
     }
 
+    /// The hang budget, then the watchdogs: the checks every dynamic
+    /// position runs, a phi's included. Returns the terminal outcome of a
+    /// stopped run.
+    fn budget_check(&mut self) -> Option<Outcome> {
+        if self.dyn_count >= self.config.max_dyn_insts {
+            return Some(Outcome::Hang);
+        }
+        if self.watchdog_armed() {
+            return self.watchdog();
+        }
+        None
+    }
+
+    /// The loop top's slow path, taken once `dyn_count` reaches
+    /// `next_event`: ECC scrub, checkpoint, rendezvous, hang budget and
+    /// watchdogs, in that order, then a new horizon.
+    fn loop_top_events(&mut self) -> Option<End> {
+        if self.ecc.is_some() {
+            self.ecc_scrub_check();
+        }
+        if self.ckpt.is_some() {
+            self.maybe_checkpoint();
+        }
+        if self.rendezvous.is_some() {
+            if let Some(at) = self.try_rendezvous() {
+                return Some(End::Rejoined { at });
+            }
+        }
+        if let Some(o) = self.budget_check() {
+            return Some(End::Outcome(o));
+        }
+        self.schedule_events();
+        None
+    }
+
+    /// Set `next_event` to the first position after this one at which a
+    /// check can fire, given that this position's checks have run. An
+    /// event that only a loop top handles (scrub, checkpoint, rendezvous)
+    /// and that is already due keeps the horizon at or below `dyn_count`
+    /// until a loop top takes it.
+    fn schedule_events(&mut self) {
+        let cfg = &self.config;
+        let mut next = cfg.max_dyn_insts;
+        for at in [cfg.fuel, cfg.poison_at].into_iter().flatten() {
+            next = next.min(at);
+        }
+        if self.deadline_start.is_some() {
+            let next_stride = (self.dyn_count / DEADLINE_CHECK_STRIDE).saturating_add(1);
+            next = next.min(next_stride.saturating_mul(DEADLINE_CHECK_STRIDE));
+        }
+        if let Some(c) = &self.ckpt {
+            next = next.min(c.next_at);
+        }
+        if let Some(r) = &self.rendezvous {
+            // A candidate at or before the injection point can never match;
+            // `try_rendezvous` skips it once the run has passed it.
+            if let Some(s) = r.snaps.get(r.next) {
+                next = next.min(s.dyn_count.max(r.armed_after.saturating_add(1)));
+            }
+        }
+        if let Some(e) = &self.ecc {
+            next = next.min(e.deadline);
+        }
+        self.next_event = next;
+    }
+
     fn exec_loop(&mut self) -> End {
-        let armed = self.watchdog_armed();
         loop {
-            if self.ecc.is_some() {
-                self.ecc_scrub_check();
-            }
-            if self.ckpt.is_some() {
-                self.maybe_checkpoint();
-            }
-            if self.rendezvous.is_some() {
-                if let Some(at) = self.try_rendezvous() {
-                    return End::Rejoined { at };
-                }
-            }
-            if self.dyn_count >= self.config.max_dyn_insts {
-                return End::Outcome(Outcome::Hang);
-            }
-            if armed {
-                if let Some(o) = self.watchdog() {
-                    return End::Outcome(o);
+            if self.dyn_count >= self.next_event {
+                if let Some(end) = self.loop_top_events() {
+                    return end;
                 }
             }
             let module = self.module;
@@ -832,7 +896,7 @@ impl<'m, 'r> Exec<'m, 'r> {
     /// Evaluate the leading phi instructions of the current block as one
     /// parallel assignment (reads before writes), emitting one dynamic
     /// record per phi. Advances `ip` past the phi batch. Returns a terminal
-    /// outcome if the instruction budget is exhausted mid-batch.
+    /// outcome if the hang budget or a watchdog stops the run mid-batch.
     fn exec_phis(&mut self, prev_block: usize) -> Option<Outcome> {
         let module = self.module;
         let (func_id, block_idx) = {
@@ -841,7 +905,7 @@ impl<'m, 'r> Exec<'m, 'r> {
         };
         let block = &module.functions[func_id.index()].blocks[block_idx];
 
-        let mut staged: Vec<(ValueId, u64, &'m Inst, Value)> = Vec::new();
+        self.phi_stage.clear();
         for inst in &block.insts {
             let Op::Phi { incomings, .. } = &inst.op else {
                 break;
@@ -851,13 +915,11 @@ impl<'m, 'r> Exec<'m, 'r> {
                 .find(|(bb, _)| bb.index() == prev_block)
                 .map(|(_, v)| *v)
                 .expect("verifier guarantees phi covers all predecessors");
-            if self.dyn_count >= self.config.max_dyn_insts {
-                return Some(Outcome::Hang);
-            }
-            if self.watchdog_armed() {
-                if let Some(o) = self.watchdog() {
+            if self.dyn_count >= self.next_event {
+                if let Some(o) = self.budget_check() {
                     return Some(o);
                 }
+                self.schedule_events();
             }
             let dyn_idx = self.dyn_count;
             self.dyn_count += 1;
@@ -877,11 +939,12 @@ impl<'m, 'r> Exec<'m, 'r> {
                     mem: None,
                 });
             }
-            staged.push((result, bits, inst, taken));
+            self.phi_stage.push((result, bits));
         }
         // Commit after all reads (parallel-assignment semantics).
-        let n = staged.len();
-        for (i, (reg, mut bits, _inst, _taken)) in staged.into_iter().enumerate() {
+        let n = self.phi_stage.len();
+        for i in 0..n {
+            let (reg, mut bits) = self.phi_stage[i];
             if let Some(f) = self.injection {
                 let this_dyn = self.dyn_count - n as u64 + i as u64;
                 if let FaultEffect::ResultXor { mask } = f.effect {
@@ -980,13 +1043,15 @@ impl<'m, 'r> Exec<'m, 'r> {
         }
         let corrupt = (golden ^ mask).to_le_bytes();
         self.mem.write_bytes_raw(addr, &corrupt[..size as usize]);
+        let deadline = self.dyn_count.saturating_add(window);
         self.ecc = Some(epvf_memsim::EccError {
             addr,
             size,
             golden,
             mask,
-            deadline: self.dyn_count.saturating_add(window),
+            deadline,
         });
+        self.next_event = self.next_event.min(deadline);
         epvf_telemetry::add(Ctr::MemEccRaised, 1);
     }
 

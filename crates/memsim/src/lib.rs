@@ -40,11 +40,13 @@
 
 mod ecc;
 mod fault;
+mod hash;
 mod memory;
 mod vma;
 
 pub use ecc::{EccError, EccEvent};
 pub use fault::AccessError;
+pub use hash::{WordHasher, WordMap, WordSet};
 pub use memory::{
     AlignmentPolicy, MemConfig, MemStats, SimMemory, DATA_BASE, DEFAULT_STACK_LIMIT, HEAP_BASE,
     HEAP_SPAN, PAGE_SIZE, STACK_GUARD_WINDOW, STACK_TOP, TEXT_BASE, TEXT_SIZE,

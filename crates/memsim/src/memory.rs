@@ -12,12 +12,26 @@
 //! * anything else raises a segmentation fault (*case II*).
 
 use crate::fault::AccessError;
+use crate::hash::WordMap;
 use crate::vma::{MemoryMap, SegmentKind, Vma};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::hash_map::Entry;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Simulated page size.
 pub const PAGE_SIZE: u64 = 4096;
+
+/// [`PAGE_SIZE`] as a byte count.
+const PAGE_BYTES: usize = PAGE_SIZE as usize;
+
+/// One resident page's bytes.
+type Page = [u8; PAGE_BYTES];
+
+/// The page number of `addr` and its offset in that page.
+#[inline]
+fn page_of(addr: u64) -> (u64, usize) {
+    (addr / PAGE_SIZE, (addr % PAGE_SIZE) as usize)
+}
 
 /// The stack-expansion window below SP that Linux still honours:
 /// 64 KiB + 128 B (paper §III-D, kernel `expand_stack` heuristic).
@@ -128,10 +142,11 @@ impl MemStats {
 #[derive(Debug, Clone)]
 pub struct SimMemory {
     config: MemConfig,
-    /// Resident pages. Pages are `Arc`'d so cloning the whole space (for a
-    /// checkpoint) is O(resident pages) pointer bumps; writes go through
-    /// `Arc::make_mut`, copying a page only when it is shared.
-    pages: HashMap<u64, Arc<[u8; PAGE_SIZE as usize]>>,
+    /// Resident pages, keyed by page number (address / [`PAGE_SIZE`]).
+    /// Pages are `Arc`'d so cloning the whole space (for a checkpoint) is
+    /// O(resident pages) pointer bumps; writes go through `Arc::make_mut`,
+    /// copying a page only when it is shared.
+    pages: WordMap<u64, Arc<Page>>,
     map: MemoryMap,
     /// Bumped every time `map` changes; lets callers cache derived data
     /// (e.g. a shared snapshot of the map) instead of re-cloning per access.
@@ -185,7 +200,7 @@ impl SimMemory {
         ]);
         SimMemory {
             config,
-            pages: HashMap::new(),
+            pages: WordMap::default(),
             map,
             map_version: 0,
             brk: heap_base,
@@ -424,70 +439,85 @@ impl SimMemory {
     // ----- data access -----
 
     /// Read `size ∈ {1,2,4,8}` bytes, little-endian, after validating the
-    /// access.
+    /// access. An access within one page costs one page lookup; only one
+    /// that crosses into the next page goes byte by byte.
     ///
     /// # Errors
     /// Propagates the fault from [`Self::check_access`].
     pub fn read(&mut self, addr: u64, size: u64, sp: u64) -> Result<u64, AccessError> {
         debug_assert!(matches!(size, 1 | 2 | 4 | 8), "bad access size {size}");
         self.check_access(addr, size, sp)?;
-        let mut out = 0u64;
-        for i in 0..size {
-            out |= (self.peek_byte(addr + i) as u64) << (8 * i);
+        let (page, off) = page_of(addr);
+        let n = size as usize;
+        let mut bytes = [0u8; 8];
+        if off + n <= PAGE_BYTES {
+            if let Some(p) = self.pages.get(&page) {
+                bytes[..n].copy_from_slice(&p[off..off + n]);
+            }
+        } else {
+            for (i, b) in bytes[..n].iter_mut().enumerate() {
+                *b = self.peek_byte(addr + i as u64);
+            }
         }
-        Ok(out)
+        Ok(u64::from_le_bytes(bytes))
     }
 
     /// Write `size ∈ {1,2,4,8}` bytes, little-endian, after validating the
-    /// access.
+    /// access, with one page lookup unless the access crosses a page.
     ///
     /// # Errors
     /// Propagates the fault from [`Self::check_access`].
     pub fn write(&mut self, addr: u64, size: u64, value: u64, sp: u64) -> Result<(), AccessError> {
         debug_assert!(matches!(size, 1 | 2 | 4 | 8), "bad access size {size}");
         self.check_access(addr, size, sp)?;
-        for i in 0..size {
-            self.poke_byte(addr + i, (value >> (8 * i)) as u8);
+        let (page, off) = page_of(addr);
+        let n = size as usize;
+        let bytes = value.to_le_bytes();
+        if off + n <= PAGE_BYTES {
+            self.page_mut(page)[off..off + n].copy_from_slice(&bytes[..n]);
+        } else {
+            for (i, &b) in bytes[..n].iter().enumerate() {
+                self.poke_byte(addr + i as u64, b);
+            }
         }
         Ok(())
     }
 
-    /// Copy raw bytes in without access checks (module loading only).
+    /// Copy raw bytes in without access checks (module loading and ECC
+    /// strikes only).
     pub fn write_bytes_raw(&mut self, addr: u64, bytes: &[u8]) {
         for (i, b) in bytes.iter().enumerate() {
             self.poke_byte(addr + i as u64, *b);
         }
     }
 
-    /// Read raw bytes without access checks (result extraction only).
-    pub fn read_bytes_raw(&self, addr: u64, len: u64) -> Vec<u8> {
-        (0..len).map(|i| self.peek_byte(addr + i)).collect()
-    }
-
     fn peek_byte(&self, addr: u64) -> u8 {
-        let page = addr & !(PAGE_SIZE - 1);
-        match self.pages.get(&page) {
-            Some(p) => p[(addr - page) as usize],
-            None => 0,
-        }
+        let (page, off) = page_of(addr);
+        self.pages.get(&page).map_or(0, |p| p[off])
     }
 
     fn poke_byte(&mut self, addr: u64, v: u8) {
-        let page = addr & !(PAGE_SIZE - 1);
+        let (page, off) = page_of(addr);
+        self.page_mut(page)[off] = v;
+    }
+
+    /// The writable bytes of page number `page`: materialized as zeros on
+    /// first write, copied first if a snapshot still shares it.
+    fn page_mut(&mut self, page: u64) -> &mut Page {
         let p = match self.pages.entry(page) {
-            std::collections::hash_map::Entry::Occupied(e) => {
+            Entry::Occupied(e) => {
                 let p = e.into_mut();
                 if Arc::strong_count(p) > 1 {
                     self.stats.cow_page_copies += 1;
                 }
                 p
             }
-            std::collections::hash_map::Entry::Vacant(e) => {
+            Entry::Vacant(e) => {
                 self.stats.pages_materialized += 1;
-                e.insert(Arc::new([0u8; PAGE_SIZE as usize]))
+                e.insert(Arc::new([0u8; PAGE_BYTES]))
             }
         };
-        Arc::make_mut(p)[(addr - page) as usize] = v;
+        Arc::make_mut(p)
     }
 
     /// Number of materialized pages (memory footprint diagnostics).

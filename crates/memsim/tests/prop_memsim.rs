@@ -1,8 +1,26 @@
 //! Property tests for the simulated memory: data integrity, fault-decision
 //! consistency, and stack-rule monotonicity.
 
-use epvf_memsim::{AccessError, MemConfig, SimMemory, PAGE_SIZE, STACK_GUARD_WINDOW};
+use epvf_memsim::{
+    AccessError, AlignmentPolicy, MemConfig, SimMemory, PAGE_SIZE, STACK_GUARD_WINDOW,
+};
 use proptest::prelude::*;
+use std::collections::BTreeSet;
+
+/// One access of the byte-model property: write (or read) `size` bytes at
+/// an offset into a two-page allocation. `near` places it within 8 bytes of
+/// the page boundary, so a good share of accesses cross it.
+type Access = (bool, bool, u64, u64, u64);
+
+/// The offset `access` touches, clamped so it stays inside two pages.
+fn offset_of(&(_, near, raw, size, _): &Access) -> u64 {
+    let off = if near {
+        PAGE_SIZE - 8 + raw % 16
+    } else {
+        raw % (2 * PAGE_SIZE)
+    };
+    off.min(2 * PAGE_SIZE - size)
+}
 
 proptest! {
     /// Any sequence of in-bounds writes reads back exactly (last write per
@@ -28,6 +46,76 @@ proptest! {
                 shadow[off as usize..off as usize + 8].try_into().expect("8 bytes"),
             );
             prop_assert_eq!(got, want, "offset {}", off);
+        }
+    }
+
+    /// Reads and writes of every size at any offset of a two-page
+    /// allocation, many crossing the page boundary, with a `clone()` taken
+    /// partway through, agree with a byte-array model. Each page is
+    /// materialized once, on its first write; each page the clone shares is
+    /// copied once, on its first write after the clone; and the clone keeps
+    /// the bytes it was taken with.
+    #[test]
+    fn unaligned_accesses_match_a_byte_model(
+        ops in prop::collection::vec(
+            (any::<bool>(), any::<bool>(), any::<u64>(), prop::sample::select(vec![1u64, 2, 4, 8]), any::<u64>()),
+            1..80,
+        ),
+        clone_at in 0usize..80,
+    ) {
+        let mut mem = SimMemory::new(MemConfig {
+            alignment: AlignmentPolicy::None,
+            ..MemConfig::default()
+        });
+        let base = mem.malloc(2 * PAGE_SIZE).expect("allocates");
+        prop_assert_eq!(base % PAGE_SIZE, 0, "the first allocation starts a page");
+        let sp = mem.stack_top();
+        let before = mem.stats();
+        let mut model = vec![0u8; 2 * PAGE_SIZE as usize];
+        let mut written = BTreeSet::new();
+        // Pages resident when the clone was taken, and those since copied.
+        let mut shared = BTreeSet::new();
+        let mut copied = BTreeSet::new();
+        let mut clone = None;
+        for (i, op) in ops.iter().enumerate() {
+            if i == clone_at {
+                clone = Some((mem.clone(), model.clone()));
+                shared = written.clone();
+            }
+            let &(is_write, _, _, size, value) = op;
+            let off = offset_of(op);
+            let span = off as usize..(off + size) as usize;
+            if is_write {
+                mem.write(base + off, size, value, sp).expect("in-bounds write");
+                model[span].copy_from_slice(&value.to_le_bytes()[..size as usize]);
+                for page in [off / PAGE_SIZE, (off + size - 1) / PAGE_SIZE] {
+                    written.insert(page);
+                    if shared.contains(&page) {
+                        copied.insert(page);
+                    }
+                }
+            } else {
+                let mut want = [0u8; 8];
+                want[..size as usize].copy_from_slice(&model[span]);
+                prop_assert_eq!(
+                    mem.read(base + off, size, sp).expect("in-bounds read"),
+                    u64::from_le_bytes(want),
+                    "{}-byte read at offset {}", size, off
+                );
+            }
+        }
+        let stats = mem.stats().delta_since(before);
+        prop_assert_eq!(stats.fault_checks, ops.len() as u64, "every access validated once");
+        prop_assert_eq!(stats.pages_materialized, written.len() as u64);
+        prop_assert_eq!(stats.cow_page_copies, copied.len() as u64);
+        if let Some((mut snap, at_clone)) = clone {
+            prop_assert_eq!(mem.state_eq(&snap), model == at_clone);
+            for off in (0..2 * PAGE_SIZE).step_by(8) {
+                let want = u64::from_le_bytes(
+                    at_clone[off as usize..off as usize + 8].try_into().expect("8 bytes"),
+                );
+                prop_assert_eq!(snap.read(base + off, 8, sp).expect("read"), want);
+            }
         }
     }
 

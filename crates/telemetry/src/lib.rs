@@ -52,7 +52,7 @@ pub use metrics::{Combine, CounterDef, Ctr, Tmr, ALL_CTRS, ALL_TMRS, COUNTER_DEF
 pub use progress::Progress;
 pub use registry::{global, Registry, Span};
 pub use report::{MetricsReport, SCHEMA_NAME, SCHEMA_VERSION};
-pub use snapshot::{MetricsSnapshot, TimerSnapshot};
+pub use snapshot::{MergeOverflow, MetricsSnapshot, TimerSnapshot};
 
 /// Add `n` to a sum counter (or raise a max gauge) in the global registry.
 pub fn add(c: Ctr, n: u64) {

@@ -4,8 +4,26 @@
 //! [`crate::MetricsReport`].
 
 use std::collections::BTreeMap;
+use std::fmt;
 
 use crate::metrics::{counter_def_by_name, Combine};
+
+/// A merge that would carry a sum past `u64::MAX`. No process records
+/// such a total (its own registry would have wrapped first), so the inputs
+/// are corrupt or hostile and the merge refuses them.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct MergeOverflow {
+    /// The counter or timer whose sum overflows.
+    pub metric: String,
+}
+
+impl fmt::Display for MergeOverflow {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "merging `{}` overflows u64", self.metric)
+    }
+}
+
+impl std::error::Error for MergeOverflow {}
 
 /// Snapshot of one timer histogram.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -30,14 +48,20 @@ impl TimerSnapshot {
         }
     }
 
-    /// Fold another histogram into this one.
-    pub fn merge(&mut self, other: &TimerSnapshot) {
-        self.count += other.count;
-        self.total_ns += other.total_ns;
-        self.max_ns = self.max_ns.max(other.max_ns);
+    /// The two histograms folded into one, or `None` if a count or sum
+    /// would pass `u64::MAX`.
+    pub fn merged(&self, other: &TimerSnapshot) -> Option<TimerSnapshot> {
+        let mut buckets = self.buckets.clone();
         for (&b, &n) in &other.buckets {
-            *self.buckets.entry(b).or_insert(0) += n;
+            let slot = buckets.entry(b).or_insert(0);
+            *slot = slot.checked_add(n)?;
         }
+        Some(TimerSnapshot {
+            count: self.count.checked_add(other.count)?,
+            total_ns: self.total_ns.checked_add(other.total_ns)?,
+            max_ns: self.max_ns.max(other.max_ns),
+            buckets,
+        })
     }
 }
 
@@ -56,23 +80,57 @@ impl MetricsSnapshot {
         self.counters.get(name).copied().unwrap_or(0)
     }
 
-    /// Fold another snapshot into this one. Sum counters add; `Max`
-    /// gauges (and counters absent from the schema, for forward
-    /// compatibility) take the maximum. Both operations are associative
-    /// and commutative, so per-worker shards can be merged in any order
-    /// and grouping — the contract `tests/prop_registry.rs` exercises.
-    pub fn merge(&mut self, other: &MetricsSnapshot) {
+    /// Fold another snapshot into this one, routing each counter by its
+    /// schema's [`Combine`]: sum counters add; `Max` gauges (and counters
+    /// absent from the schema, for forward compatibility) take the
+    /// maximum. Both operations are associative and commutative, so
+    /// per-worker shards can be merged in any order and grouping — the
+    /// contract `tests/prop_registry.rs` exercises.
+    ///
+    /// # Errors
+    /// [`MergeOverflow`] if a sum would pass `u64::MAX`; `self` is then
+    /// unchanged.
+    pub fn merge(&mut self, other: &MetricsSnapshot) -> Result<(), MergeOverflow> {
+        let mut merged = self.clone();
         for (name, &v) in &other.counters {
-            let combine = counter_def_by_name(name).map(|d| d.combine);
-            let slot = self.counters.entry(name.clone()).or_insert(0);
-            match combine {
-                Some(Combine::Sum) => *slot += v,
-                Some(Combine::Max) | None => *slot = (*slot).max(v),
+            match counter_def_by_name(name).map(|d| d.combine) {
+                Some(Combine::Sum) => merged.add(name, v)?,
+                Some(Combine::Max) | None => merged.peak(name, v),
             }
         }
         for (name, t) in &other.timers {
-            self.timers.entry(name.clone()).or_default().merge(t);
+            let slot = merged.timers.entry(name.clone()).or_default();
+            *slot = slot.merged(t).ok_or_else(|| MergeOverflow {
+                metric: name.clone(),
+            })?;
         }
+        *self = merged;
+        Ok(())
+    }
+
+    /// Add `v` to a sum counter.
+    fn add(&mut self, name: &str, v: u64) -> Result<(), MergeOverflow> {
+        debug_assert_eq!(
+            counter_def_by_name(name).map(|d| d.combine),
+            Some(Combine::Sum),
+            "{name} is not a sum counter"
+        );
+        let slot = self.counters.entry(name.to_string()).or_insert(0);
+        *slot = slot.checked_add(v).ok_or_else(|| MergeOverflow {
+            metric: name.to_string(),
+        })?;
+        Ok(())
+    }
+
+    /// Raise a peak gauge, or a counter outside the schema, to at least `v`.
+    fn peak(&mut self, name: &str, v: u64) {
+        debug_assert_ne!(
+            counter_def_by_name(name).map(|d| d.combine),
+            Some(Combine::Sum),
+            "{name} is a sum counter"
+        );
+        let slot = self.counters.entry(name.to_string()).or_insert(0);
+        *slot = (*slot).max(v);
     }
 
     /// The subset of counters whose definitions are marked invariant —
@@ -95,8 +153,13 @@ impl MetricsSnapshot {
     /// command mix are checked here — stricter per-command equalities
     /// (e.g. golden instructions retired == trace length for a single
     /// `analyze`) live in the CLI invariant tests.
+    ///
+    /// A law's sums are checked: a sum past `u64::MAX` breaks the law, and
+    /// its message says so, where wrapping would pass or fail it by
+    /// accident.
     pub fn check_conservation(&self) -> Vec<String> {
         let c = |n: &str| self.counter(n);
+        let sum = |names: &[&str]| names.iter().try_fold(0u64, |acc, n| acc.checked_add(c(n)));
         let mut violations = Vec::new();
         let mut law = |ok: bool, msg: String| {
             if !ok {
@@ -104,17 +167,20 @@ impl MetricsSnapshot {
             }
         };
 
-        let class_sum = c("llfi.campaign.runs_crash")
-            + c("llfi.campaign.runs_sdc")
-            + c("llfi.campaign.runs_benign")
-            + c("llfi.campaign.runs_hang")
-            + c("llfi.campaign.runs_detected")
-            + c("llfi.campaign.runs_timed_out")
-            + c("llfi.campaign.runs_quarantined");
+        let class_sum = sum(&[
+            "llfi.campaign.runs_crash",
+            "llfi.campaign.runs_sdc",
+            "llfi.campaign.runs_benign",
+            "llfi.campaign.runs_hang",
+            "llfi.campaign.runs_detected",
+            "llfi.campaign.runs_timed_out",
+            "llfi.campaign.runs_quarantined",
+        ]);
         law(
-            class_sum == c("llfi.campaign.runs_total"),
+            class_sum == Some(c("llfi.campaign.runs_total")),
             format!(
-                "campaign outcome classes sum to {class_sum}, expected runs_total = {}",
+                "campaign outcome classes sum to {}, expected runs_total = {}",
+                shown(class_sum),
                 c("llfi.campaign.runs_total")
             ),
         );
@@ -136,18 +202,21 @@ impl MetricsSnapshot {
                 c("llfi.campaign.runs_benign")
             ),
         );
-        let ecc_resolved = c("memsim.ecc.detected")
-            + c("memsim.ecc.corrected")
-            + c("memsim.ecc.overwritten")
-            + c("memsim.ecc.expired");
+        let ecc_resolved = sum(&[
+            "memsim.ecc.detected",
+            "memsim.ecc.corrected",
+            "memsim.ecc.overwritten",
+            "memsim.ecc.expired",
+        ]);
         law(
             // Every planted ECC error resolves exactly once: consumed
             // (detected or corrected), overwritten, or scrubbed at the
             // window close (errors still pending when a run terminates are
             // flushed as expired).
-            ecc_resolved == c("memsim.ecc.raised"),
+            ecc_resolved == Some(c("memsim.ecc.raised")),
             format!(
-                "ECC resolutions sum to {ecc_resolved}, expected raised = {}",
+                "ECC resolutions sum to {}, expected raised = {}",
+                shown(ecc_resolved),
                 c("memsim.ecc.raised")
             ),
         );
@@ -159,20 +228,21 @@ impl MetricsSnapshot {
                 c("ddg.nodes_created")
             ),
         );
+        let golden_accesses = sum(&["interp.golden.loads", "interp.golden.stores"]);
         law(
-            c("interp.golden.loads") + c("interp.golden.stores")
-                <= c("interp.golden.insts_retired"),
+            golden_accesses.is_some_and(|n| n <= c("interp.golden.insts_retired")),
             format!(
                 "golden loads+stores ({}) exceed golden instructions retired ({})",
-                c("interp.golden.loads") + c("interp.golden.stores"),
+                shown(golden_accesses),
                 c("interp.golden.insts_retired")
             ),
         );
+        let accesses = sum(&["interp.loads", "interp.stores"]);
         law(
-            c("interp.loads") + c("interp.stores") <= c("interp.insts_retired"),
+            accesses.is_some_and(|n| n <= c("interp.insts_retired")),
             format!(
                 "loads+stores ({}) exceed instructions retired ({})",
-                c("interp.loads") + c("interp.stores"),
+                shown(accesses),
                 c("interp.insts_retired")
             ),
         );
@@ -205,7 +275,7 @@ impl MetricsSnapshot {
         law(
             // Every serve campaign resolves its golden artifacts exactly
             // once: from the cache or by a fresh golden run.
-            c("serve.cache.hits") + c("serve.cache.misses") == c("serve.campaigns"),
+            sum(&["serve.cache.hits", "serve.cache.misses"]) == Some(c("serve.campaigns")),
             format!(
                 "serve cache hits ({}) + misses ({}) must equal campaigns served ({})",
                 c("serve.cache.hits"),
@@ -216,7 +286,8 @@ impl MetricsSnapshot {
         law(
             // Every section run a compositional analysis considers resolves
             // exactly once: replayed from the cache or recomputed.
-            c("analyze.cache.hits") + c("analyze.cache.misses") == c("analyze.cache.sections"),
+            sum(&["analyze.cache.hits", "analyze.cache.misses"])
+                == Some(c("analyze.cache.sections")),
             format!(
                 "section cache hits ({}) + misses ({}) must equal sections considered ({})",
                 c("analyze.cache.hits"),
@@ -244,7 +315,7 @@ impl MetricsSnapshot {
         );
         law(
             // Every spawn is either a shard's first attempt or a restart.
-            c("supervisor.spawned") == c("supervisor.shards") + c("supervisor.restarts"),
+            sum(&["supervisor.shards", "supervisor.restarts"]) == Some(c("supervisor.spawned")),
             format!(
                 "supervisor spawned {} workers, expected shards ({}) + restarts ({})",
                 c("supervisor.spawned"),
@@ -254,7 +325,8 @@ impl MetricsSnapshot {
         );
         law(
             // Restarts only happen in response to an observed failure.
-            c("supervisor.restarts") <= c("supervisor.hangs") + c("supervisor.crashes"),
+            sum(&["supervisor.hangs", "supervisor.crashes"])
+                .is_some_and(|n| c("supervisor.restarts") <= n),
             format!(
                 "supervisor restarted {} workers but observed only {} hangs + {} crashes",
                 c("supervisor.restarts"),
@@ -264,7 +336,8 @@ impl MetricsSnapshot {
         );
         law(
             // A worker must have been spawned before it can fail.
-            c("supervisor.hangs") + c("supervisor.crashes") <= c("supervisor.spawned"),
+            sum(&["supervisor.hangs", "supervisor.crashes"])
+                .is_some_and(|n| n <= c("supervisor.spawned")),
             format!(
                 "supervisor observed {} hangs + {} crashes but spawned only {} workers",
                 c("supervisor.hangs"),
@@ -272,14 +345,17 @@ impl MetricsSnapshot {
                 c("supervisor.spawned")
             ),
         );
-        let confusion = c("oracle.diff.true_positives")
-            + c("oracle.diff.false_positives")
-            + c("oracle.diff.false_negatives")
-            + c("oracle.diff.true_negatives");
+        let confusion = sum(&[
+            "oracle.diff.true_positives",
+            "oracle.diff.false_positives",
+            "oracle.diff.false_negatives",
+            "oracle.diff.true_negatives",
+        ]);
         law(
-            confusion <= c("oracle.sweep.flips"),
+            confusion.is_some_and(|n| n <= c("oracle.sweep.flips")),
             format!(
-                "oracle confusion matrix covers {confusion} flips but only {} were swept",
+                "oracle confusion matrix covers {} flips but only {} were swept",
+                shown(confusion),
                 c("oracle.sweep.flips")
             ),
         );
@@ -287,8 +363,14 @@ impl MetricsSnapshot {
     }
 }
 
+/// A checked sum of counters as a law's message shows it.
+fn shown(total: Option<u64>) -> String {
+    total.map_or_else(|| "more than u64::MAX".to_string(), |n| n.to_string())
+}
+
 #[cfg(test)]
 mod tests {
+    use super::{MetricsSnapshot, TimerSnapshot};
     use crate::metrics::{Ctr, Tmr};
     use crate::registry::Registry;
 
@@ -304,13 +386,58 @@ mod tests {
         b.record_ns(Tmr::DdgBuild, 300);
 
         let mut m = a.snapshot();
-        m.merge(&b.snapshot());
+        m.merge(&b.snapshot()).expect("no overflow");
         assert_eq!(m.counter("ddg.nodes_created"), 15);
         assert_eq!(m.counter("ace.bfs_frontier_peak"), 9);
         let t = &m.timers["ddg.build"];
         assert_eq!(t.count, 2);
         assert_eq!(t.total_ns, 400);
         assert_eq!(t.max_ns, 300);
+    }
+
+    #[test]
+    fn merge_refuses_an_overflowing_sum_and_keeps_its_input() {
+        let mut a = MetricsSnapshot::default();
+        a.counters
+            .insert("llfi.campaign.runs_crash".into(), u64::MAX);
+        a.counters.insert("ace.bfs_frontier_peak".into(), u64::MAX);
+        let before = a.clone();
+        let mut b = a.clone();
+        b.counters.insert("llfi.campaign.runs_crash".into(), 1);
+        let err = a.merge(&b).expect_err("u64::MAX + 1 overflows");
+        assert_eq!(err.metric, "llfi.campaign.runs_crash");
+        assert_eq!(a, before, "a refused merge changes nothing");
+        // A peak gauge takes the maximum, which cannot overflow.
+        b.counters.remove("llfi.campaign.runs_crash");
+        a.merge(&b).expect("max of two gauges");
+        assert_eq!(a, before);
+
+        let mut t = MetricsSnapshot::default();
+        t.timers.insert(
+            "ddg.build".into(),
+            TimerSnapshot {
+                count: 1,
+                total_ns: u64::MAX,
+                max_ns: u64::MAX,
+                buckets: [(63, 1)].into(),
+            },
+        );
+        let err = t.clone().merge(&t).expect_err("total_ns overflows");
+        assert_eq!(err.metric, "ddg.build");
+    }
+
+    #[test]
+    fn conservation_reports_an_overflowing_sum_as_a_violation() {
+        let mut m = MetricsSnapshot::default();
+        m.counters
+            .insert("llfi.campaign.runs_crash".into(), u64::MAX);
+        m.counters.insert("llfi.campaign.runs_sdc".into(), 14);
+        m.counters.insert("llfi.campaign.runs_total".into(), 13);
+        let v = m.check_conservation();
+        assert_eq!(
+            v,
+            ["campaign outcome classes sum to more than u64::MAX, expected runs_total = 13"]
+        );
     }
 
     #[test]

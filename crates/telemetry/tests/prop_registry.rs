@@ -42,7 +42,7 @@ fn record_shards(shards: &[Vec<Op>]) -> Vec<MetricsSnapshot> {
 
 fn merged(a: &MetricsSnapshot, b: &MetricsSnapshot) -> MetricsSnapshot {
     let mut m = a.clone();
-    m.merge(b);
+    m.merge(b).expect("recorded totals stay below u64::MAX");
     m
 }
 
