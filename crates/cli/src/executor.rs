@@ -1,5 +1,5 @@
-//! The campaign executor behind `epvf inject`, `shard`, `merge`,
-//! `run-sharded`, and `serve --shards`.
+//! The campaign executor behind `epvf inject`, `shard`, `merge`, and
+//! `run-sharded`.
 //!
 //! A campaign over `draw_specs(N, seed)` is partitioned by striding:
 //! shard `i` of `S` runs the global spec indices `{g : g % S == i}`. The
@@ -12,8 +12,7 @@
 //!   fingerprint is domain-separated by `(i, S)`, so its log can never
 //!   resume, or merge, under the wrong partition geometry.
 //! - [`launch`] runs `S` concurrent `epvf shard` workers under the
-//!   fault-tolerant supervisor, for `epvf run-sharded` and
-//!   `epvf serve --shards`.
+//!   fault-tolerant supervisor, for `epvf run-sharded`.
 //! - [`merge_wals`] folds the shard WALs back into one `CampaignResult`,
 //!   and [`report`] checks and renders it: the same summary bytes as a
 //!   single-process `epvf inject` of the whole campaign.
@@ -138,40 +137,18 @@ pub(crate) fn run_slice(
     })
 }
 
-/// Apply `flag` to `policy` if it is one of the supervisor-policy flags
-/// that `run-sharded` and `serve` share; `Ok(false)` when it is not.
-pub(crate) fn policy_flag(
-    policy: &mut SupervisorConfig,
-    flag: &str,
-    it: &mut std::slice::Iter<'_, String>,
-) -> Result<bool, CliError> {
-    match flag {
-        "--shard-retries" => policy.retries = flag_value(it, flag)?,
-        "--stall-timeout-ms" => {
-            policy.stall_timeout = Some(Duration::from_millis(flag_value(it, flag)?));
-        }
-        "--shard-deadline-ms" => {
-            policy.deadline = Some(Duration::from_millis(flag_value(it, flag)?));
-        }
-        _ => return Ok(false),
-    }
-    Ok(true)
-}
-
 /// Run `shards` concurrent `epvf shard` workers under the supervisor
 /// `policy`, for the campaign that the raw target token `spec` and the
 /// inject flags `forwarded` describe. Worker `i` writes
 /// `dir/shard-i.wal` (its heartbeat, resumed on restart) and
-/// `dir/shard-i.stderr`. `emit` receives every supervision event with
-/// its narration line, if it has one. Returns the supervisor's report
-/// and the WAL paths in shard order.
-pub(crate) fn launch(
+/// `dir/shard-i.stderr`. Supervision events are narrated on stderr.
+/// Returns the supervisor's report and the WAL paths in shard order.
+fn launch(
     spec: &str,
     forwarded: &[String],
     shards: usize,
     dir: &Path,
     policy: &SupervisorConfig,
-    emit: &mut dyn FnMut(&SupervisorEvent, Option<String>),
 ) -> Result<(SupervisorReport, Vec<PathBuf>), CliError> {
     let program = std::env::current_exe()
         .map_err(|e| CliError::io(format!("locating the epvf binary: {e}")))?;
@@ -203,8 +180,9 @@ pub(crate) fn launch(
         })
         .collect();
     let report = epvf_llfi::supervise(&plans, policy, &mut |event| {
-        let line = narrate(&event, shards, dir);
-        emit(&event, line);
+        if let Some(line) = narrate(&event, shards, dir) {
+            eprintln!("{line}");
+        }
     })
     .map_err(|e| CliError::io(format!("supervising shard workers: {e}")))?;
     Ok((report, plans.into_iter().map(|p| p.wal).collect()))
@@ -213,7 +191,7 @@ pub(crate) fn launch(
 /// The fail-closed message (exit 5) naming every shard that exhausted
 /// its retry budget and how its last attempt failed; `None` when every
 /// shard finished.
-pub(crate) fn exhausted(report: &SupervisorReport) -> Option<String> {
+fn exhausted(report: &SupervisorReport) -> Option<String> {
     let causes: Vec<String> = report
         .shards
         .iter()
@@ -349,7 +327,7 @@ fn assign_shard_wals(
 /// reads WAL `i` as shard `i`, keeps whatever intact prefix each log
 /// holds (a log without a usable header adds nothing), and tolerates
 /// gaps. The second value counts the runs still missing.
-pub(crate) fn merge_wals(
+fn merge_wals(
     campaign: &Campaign<'_>,
     specs: &[InjectionSpec],
     wals: &[PathBuf],
@@ -395,28 +373,20 @@ pub(crate) fn merge_wals(
 }
 
 /// Check a campaign result against the aggregate algebra's conservation
-/// laws and render its `epvf inject` summary, analyzing the golden trace
-/// unless `cached` already holds that analysis. Returns the summary and
-/// the aggregate.
-pub(crate) fn report(
+/// laws and render its `epvf inject` summary from an analysis of the
+/// golden trace. Returns the summary and the aggregate.
+fn report(
     label: &str,
     seed: u64,
     campaign: &Campaign<'_>,
     fi: &CampaignResult,
-    cached: Option<&EpvfResult>,
 ) -> Result<(String, CampaignAggregate), CliError> {
-    let fresh;
-    let res = match cached {
-        Some(res) => res,
-        None => {
-            fresh = analyze_golden(campaign)?;
-            &fresh
-        }
-    };
+    let res = analyze_golden(campaign)?;
     let agg = CampaignAggregate::from_result(fi, campaign.sites(), Some(&res.crash_map));
     agg.check()
         .map_err(|e| CliError::campaign(format!("merged aggregate inconsistent: {e}")))?;
-    Ok((summary::inject_summary(label, seed, campaign, res, fi), agg))
+    let text = summary::inject_summary(label, seed, campaign, &res, fi);
+    Ok((text, agg))
 }
 
 /// Pull `--index I` and `--of S` out of the raw argument list, returning
@@ -515,7 +485,7 @@ pub(crate) fn cmd_merge(t: Target, rest: &[String]) -> Result<(), CliError> {
     let campaign = build_campaign(&t, config, &opts)?;
     let specs = campaign.draw_specs(opts.runs, opts.seed);
     let (fi, _) = merge_wals(&campaign, &specs, &wals, None)?;
-    let (text, _) = report(&t.label, opts.seed, &campaign, &fi, None)?;
+    let (text, _) = report(&t.label, opts.seed, &campaign, &fi)?;
     print!("{text}");
 
     if !metrics_in.is_empty() {
@@ -607,6 +577,13 @@ fn extract_run_sharded_opts(rest: &[String]) -> Result<(RunShardedOpts, Vec<Stri
             "--allow-partial" => opts.allow_partial = true,
             "--work-dir" => opts.work_dir = Some(flag_value(&mut it, a)?),
             "--counters-out" => opts.counters_out = Some(flag_value(&mut it, a)?),
+            "--shard-retries" => opts.policy.retries = flag_value(&mut it, a)?,
+            "--stall-timeout-ms" => {
+                opts.policy.stall_timeout = Some(Duration::from_millis(flag_value(&mut it, a)?));
+            }
+            "--shard-deadline-ms" => {
+                opts.policy.deadline = Some(Duration::from_millis(flag_value(&mut it, a)?));
+            }
             "--chaos" => {
                 let spec: String = flag_value(&mut it, a)?;
                 opts.policy.chaos = Some(
@@ -614,11 +591,7 @@ fn extract_run_sharded_opts(rest: &[String]) -> Result<(RunShardedOpts, Vec<Stri
                         .map_err(|e| CliError::usage(format!("--chaos: {e}")))?,
                 );
             }
-            flag => {
-                if !policy_flag(&mut opts.policy, flag, &mut it)? {
-                    forwarded.push(a.clone());
-                }
-            }
+            _ => forwarded.push(a.clone()),
         }
     }
     if opts.shards == 0 {
@@ -656,37 +629,26 @@ pub(crate) fn cmd_run_sharded(rest: &[String]) -> Result<(), CliError> {
     let dir = sup.work_dir.clone().unwrap_or_else(|| {
         std::env::temp_dir().join(format!("epvf-run-sharded-{}", std::process::id()))
     });
-    let merged = launch(
-        spec,
-        &forwarded,
-        sup.shards,
-        &dir,
-        &sup.policy,
-        &mut |_, line| {
-            if let Some(line) = line {
-                eprintln!("{line}");
+    let merged =
+        launch(spec, &forwarded, sup.shards, &dir, &sup.policy).and_then(|(report, wals)| {
+            let failed = report.failed_shards();
+            match exhausted(&report) {
+                Some(why) if !sup.allow_partial => Err(CliError::campaign(format!(
+                    "{why} (re-run with --allow-partial to salvage their WAL prefixes)"
+                ))),
+                _ => {
+                    let salvage = (!failed.is_empty()).then_some(failed.as_slice());
+                    let (fi, missing) = merge_wals(&campaign, &specs, &wals, salvage)?;
+                    Ok((fi, missing, failed))
+                }
             }
-        },
-    )
-    .and_then(|(report, wals)| {
-        let failed = report.failed_shards();
-        match exhausted(&report) {
-            Some(why) if !sup.allow_partial => Err(CliError::campaign(format!(
-                "{why} (re-run with --allow-partial to salvage their WAL prefixes)"
-            ))),
-            _ => {
-                let salvage = (!failed.is_empty()).then_some(failed.as_slice());
-                let (fi, missing) = merge_wals(&campaign, &specs, &wals, salvage)?;
-                Ok((fi, missing, failed))
-            }
-        }
-    });
+        });
     if sup.work_dir.is_none() {
         let _ = std::fs::remove_dir_all(&dir);
     }
     let (fi, missing, failed) = merged?;
 
-    let (text, agg) = report(&t.label, opts.seed, &campaign, &fi, None)?;
+    let (text, agg) = report(&t.label, opts.seed, &campaign, &fi)?;
     print!("{text}");
     if let Some(path) = &sup.counters_out {
         write_class_counters(path, &agg)?;

@@ -40,7 +40,6 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 mod executor;
-mod serve;
 mod summary;
 
 /// Structured CLI failure: every variant maps to a distinct, documented
@@ -140,7 +139,7 @@ fn main() -> ExitCode {
     let result = {
         let _span = epvf_telemetry::span(epvf_telemetry::Tmr::CliCommand);
         match args.first().map(String::as_str) {
-            Some("list") => cmd_list(),
+            Some("list") => cmd_list(args.get(1..).unwrap_or(&[])),
             Some("dump") => with_target(&args, cmd_dump),
             Some("run") => with_target(&args, cmd_run),
             Some("analyze") => with_target(&args, cmd_analyze),
@@ -150,7 +149,6 @@ fn main() -> ExitCode {
             // Takes the raw spec token (workers receive it verbatim),
             // so it does not go through `with_target`.
             Some("run-sharded") => executor::cmd_run_sharded(args.get(1..).unwrap_or(&[])),
-            Some("serve") => serve::cmd_serve(args.get(1..).unwrap_or(&[])),
             Some("oracle") => cmd_oracle(args.get(1..).unwrap_or(&[])),
             Some("protect") => with_target(&args, cmd_protect),
             Some("metrics-check") => cmd_metrics_check(args.get(1..).unwrap_or(&[])),
@@ -427,23 +425,6 @@ usage: epvf <command> [args]
                                with the snapshot merge algebra
     --metrics-merged FILE      write the folded snapshot (requires
                                --metrics-in); conservation laws re-checked
-  serve --socket PATH          long-lived campaign daemon on a Unix socket;
-                               line protocol: `ping`, `shutdown`, and
-                               `run <target> [N] [SEED] [--shards S] ...`
-                               (requests queue FIFO; golden runs, site
-                               tables and checkpoints are cached across
-                               requests; --shards S runs S concurrent
-                               `epvf shard` workers under the supervisor
-                               and merges them; a stale socket file from
-                               a dead daemon is probed and removed, a
-                               live one is an error)
-    --shard-retries N / --stall-timeout-ms MS / --shard-deadline-ms MS
-                               supervisor policy for --shards requests
-                               (defaults as for run-sharded)
-    --section-cache DIR        persist per-section analysis summaries in
-                               DIR; without it they are still shared
-                               in-memory across requests, so analyses of
-                               similar modules replay common sections
   oracle <target>              exhaustive bit-flip oracle vs crash model
     --workload NAME            alternative way to name the target
     --limit N                  subsample the sweep to ~N runs (0 = all)
@@ -502,8 +483,12 @@ fn resolve(spec: &str) -> Result<Target, CliError> {
         Some((n, "tiny")) => (n, Scale::Tiny),
         Some((n, "small")) => (n, Scale::Small),
         Some((n, "standard")) => (n, Scale::Standard),
-        Some((_, s)) => return Err(CliError::usage(format!("unknown scale `{s}`"))),
-        None => (spec, Scale::Small),
+        // Any other suffix is a scale typo, unless the whole spec names a
+        // file (`lud:v2.ir`).
+        Some((_, s)) if !std::path::Path::new(spec).exists() => {
+            return Err(CliError::usage(format!("unknown scale `{s}`")))
+        }
+        _ => (spec, Scale::Small),
     };
     if let Some(w) = by_name(name, scale) {
         return Ok(Target {
@@ -536,7 +521,8 @@ fn with_target(
     f(resolve(spec)?, args.get(2..).unwrap_or(&[]))
 }
 
-fn cmd_list() -> Result<(), CliError> {
+fn cmd_list(rest: &[String]) -> Result<(), CliError> {
+    positionals(rest, 0)?;
     println!(
         "{:15} {:20} {:>12} {:>9}",
         "name", "domain", "dyn insts", "outputs"
@@ -554,12 +540,14 @@ fn cmd_list() -> Result<(), CliError> {
     Ok(())
 }
 
-fn cmd_dump(t: Target, _rest: &[String]) -> Result<(), CliError> {
+fn cmd_dump(t: Target, rest: &[String]) -> Result<(), CliError> {
+    positionals(rest, 0)?;
     print!("{}", t.module);
     Ok(())
 }
 
-fn cmd_run(t: Target, _rest: &[String]) -> Result<(), CliError> {
+fn cmd_run(t: Target, rest: &[String]) -> Result<(), CliError> {
+    positionals(rest, 0)?;
     let r = Interpreter::new(&t.module, ExecConfig::default())
         .run(Workload::ENTRY, &t.args, None)
         .map_err(CliError::campaign)?;
@@ -585,10 +573,7 @@ fn cmd_analyze(t: Target, rest: &[String]) -> Result<(), CliError> {
     while let Some(a) = it.next() {
         match a.as_str() {
             "--section-cache" => cache_dir = Some(flag_value(&mut it, a)?),
-            flag if flag.starts_with("--") => {
-                return Err(CliError::usage(format!("unknown flag `{flag}`")))
-            }
-            extra => return Err(CliError::usage(format!("unexpected argument `{extra}`"))),
+            other => return Err(stray(other)),
         }
     }
     let golden = Interpreter::new(&t.module, ExecConfig::default())
@@ -723,9 +708,7 @@ fn parse_inject_opts(rest: &[String]) -> Result<(CampaignConfig, InjectOpts), Cl
             }
             "--max-unsound" => opts.max_unsound = flag_value(&mut it, a)?,
             "--quarantine-dir" => opts.quarantine_dir = Some(flag_value(&mut it, a)?),
-            flag if flag.starts_with("--") => {
-                return Err(CliError::usage(format!("unknown flag `{flag}`")))
-            }
+            flag if flag.starts_with("--") => return Err(stray(flag)),
             _ => positional.push(a),
         }
     }
@@ -747,6 +730,25 @@ fn parse_inject_opts(rest: &[String]) -> Result<(CampaignConfig, InjectOpts), Cl
 
 fn bad_arg(what: &str) -> CliError {
     CliError::usage(format!("bad {what}"))
+}
+
+/// The usage error for an argument no parser claimed: an unknown flag or
+/// an unexpected positional.
+fn stray(arg: &str) -> CliError {
+    if arg.starts_with("--") {
+        CliError::usage(format!("unknown flag `{arg}`"))
+    } else {
+        CliError::usage(format!("unexpected argument `{arg}`"))
+    }
+}
+
+/// `rest` as at most `max` positional arguments; any flag, or any
+/// argument past `max`, is a usage error (exit 2).
+fn positionals(rest: &[String], max: usize) -> Result<&[String], CliError> {
+    match rest.iter().find(|a| a.starts_with("--")).or(rest.get(max)) {
+        Some(arg) => Err(stray(arg)),
+        None => Ok(rest),
+    }
 }
 
 /// Parse the value of `flag` from the next argument: exit 2 when it is
@@ -944,9 +946,7 @@ fn cmd_oracle(rest: &[String]) -> Result<(), CliError> {
                 config.ckpt_interval = if k == 0 { CampaignConfig::CKPT_OFF } else { k };
             }
             "--threads" => config.threads = flag_value::<usize>(&mut it, a)?.max(1),
-            flag if flag.starts_with("--") => {
-                return Err(CliError::usage(format!("unknown flag `{flag}`")))
-            }
+            flag if flag.starts_with("--") => return Err(stray(flag)),
             positional => target = Some(positional.to_string()),
         }
     }
@@ -1071,7 +1071,7 @@ fn cmd_oracle(rest: &[String]) -> Result<(), CliError> {
 }
 
 fn cmd_protect(t: Target, rest: &[String]) -> Result<(), CliError> {
-    let budget: f64 = rest
+    let budget: f64 = positionals(rest, 1)?
         .first()
         .map_or(Ok(0.24), |s| s.parse().map_err(|_| bad_arg("budget")))?;
     let campaign = Campaign::new(

@@ -331,6 +331,36 @@ fn supervisor_log_lines_name_the_crash_and_the_recovery() {
     assert!(r.stderr.contains("recovered on attempt"), "{}", r.stderr);
 }
 
+/// `--shard-deadline-ms` reaches the supervisor from the command line,
+/// and when every shard misses a 1 ms deadline the fail-closed text
+/// names every failed shard, not just the first. The supervisor first
+/// looks at a worker one 15 ms poll after spawning it, so each shard
+/// gets 2,000 runs, far more than a worker finishes in one poll.
+#[test]
+fn every_shard_past_its_deadline_is_named_in_the_failure() {
+    let r = epvf(&[
+        "run-sharded",
+        "lud:small",
+        "4000",
+        SEED,
+        "--shards",
+        "2",
+        "--shard-deadline-ms",
+        "1",
+        "--shard-retries",
+        "0",
+    ]);
+    assert_eq!(r.code, 5, "{}\n{}", r.stdout, r.stderr);
+    let failure = r
+        .stderr
+        .lines()
+        .find(|l| l.starts_with("error: 2 of 2 shards failed past the retry budget"))
+        .unwrap_or_else(|| panic!("no fail-closed line in {}", r.stderr));
+    for needle in ["shard 0 (", "shard 1 (", "exceeded the shard deadline"] {
+        assert!(failure.contains(needle), "{needle:?} missing: {failure}");
+    }
+}
+
 /// A worker that exits nonzero (as opposed to dying on a signal) gets
 /// the "failed (exited with code …)" wording, and the tail of its
 /// captured stderr scratch file is surfaced on the narration line so

@@ -458,7 +458,7 @@ pub fn propagate(
 }
 
 /// [`propagate`] with an explicit [`CrashScope`]: every root is seeded
-/// first, then one [`Sweep`] visits each constrained node once.
+/// first, then one `Sweep` visits each constrained node once.
 pub fn propagate_scoped(
     module: &Module,
     trace: &Trace,

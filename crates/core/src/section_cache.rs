@@ -126,8 +126,8 @@ pub struct SectionCache {
 }
 
 impl SectionCache {
-    /// A purely in-memory cache (no persistence). Useful for single-process
-    /// reuse, e.g. across `epvf serve` requests.
+    /// A purely in-memory cache (no persistence), for reuse within one
+    /// process.
     pub fn in_memory() -> SectionCache {
         SectionCache {
             dir: None,

@@ -345,43 +345,14 @@ pub struct Campaign<'m> {
     entry: String,
     args: Vec<u64>,
     config: CampaignConfig,
-    golden: Arc<RunResult>,
-    sites: Arc<SiteTable>,
+    golden: RunResult,
+    sites: SiteTable,
     /// The fault model whose injection points the campaign samples and
     /// whose lowering turns drawn specs into machine faults.
     model: Arc<dyn FaultModel>,
     /// Golden checkpoints in ascending `dyn_count` order (starting at 0),
     /// empty when checkpointing is off.
-    ckpts: Arc<Vec<Snapshot>>,
-}
-
-/// The expensive byproducts of campaign preparation — the traced golden
-/// run, the model's site table, and the replay checkpoints — detached from
-/// the module borrow so they can outlive one request. Everything is behind
-/// `Arc`: cloning is O(1), and [`Campaign::from_artifacts`] rebuilds a
-/// ready campaign without re-executing the golden run. `epvf serve` caches
-/// one of these per distinct `(module text, entry, args, fault model,
-/// checkpoint interval)` request key; the caller is responsible for keying
-/// the cache on everything the artifacts depend on.
-#[derive(Debug, Clone)]
-pub struct GoldenArtifacts {
-    golden: Arc<RunResult>,
-    sites: Arc<SiteTable>,
-    ckpts: Arc<Vec<Snapshot>>,
-    model_name: String,
-}
-
-impl GoldenArtifacts {
-    /// The traced golden run.
-    pub fn golden(&self) -> &RunResult {
-        &self.golden
-    }
-
-    /// Canonical name of the fault model the site table was enumerated
-    /// under.
-    pub fn model_name(&self) -> &str {
-        &self.model_name
-    }
+    ckpts: Vec<Snapshot>,
 }
 
 impl<'m> Campaign<'m> {
@@ -464,57 +435,10 @@ impl<'m> Campaign<'m> {
             entry: entry.to_string(),
             args: args.to_vec(),
             config,
-            golden: Arc::new(golden),
-            sites: Arc::new(sites),
+            golden,
+            sites,
             model,
-            ckpts: Arc::new(ckpts),
-        })
-    }
-
-    /// Detach this campaign's golden-run artifacts for reuse (O(1): all
-    /// parts are `Arc`-shared with the campaign).
-    pub fn artifacts(&self) -> GoldenArtifacts {
-        GoldenArtifacts {
-            golden: Arc::clone(&self.golden),
-            sites: Arc::clone(&self.sites),
-            ckpts: Arc::clone(&self.ckpts),
-            model_name: self.model.name(),
-        }
-    }
-
-    /// Rebuild a ready campaign from cached [`GoldenArtifacts`] without
-    /// re-executing the golden run or the checkpoint pass. The caller must
-    /// present the same module/entry/args/model/checkpoint-interval the
-    /// artifacts were produced under (the serve cache keys on exactly
-    /// that); the model name is re-checked here as a guard.
-    ///
-    /// # Errors
-    /// [`CampaignError::Internal`] if `model` disagrees with the model the
-    /// artifacts were enumerated under.
-    pub fn from_artifacts(
-        module: &'m Module,
-        entry: &str,
-        args: &[u64],
-        config: CampaignConfig,
-        model: Arc<dyn FaultModel>,
-        artifacts: GoldenArtifacts,
-    ) -> Result<Self, CampaignError> {
-        if model.name() != artifacts.model_name {
-            return Err(CampaignError::Internal(format!(
-                "cached artifacts were enumerated under model {} but the request asks for {}",
-                artifacts.model_name,
-                model.name()
-            )));
-        }
-        Ok(Campaign {
-            module,
-            entry: entry.to_string(),
-            args: args.to_vec(),
-            config,
-            golden: artifacts.golden,
-            sites: artifacts.sites,
-            model,
-            ckpts: artifacts.ckpts,
+            ckpts,
         })
     }
 

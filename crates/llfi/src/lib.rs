@@ -54,8 +54,8 @@ pub use accuracy::{
     precision_study, predicted_crash_specs, recall_study, PrecisionReport, RecallReport,
 };
 pub use campaign::{
-    Campaign, CampaignConfig, CampaignError, CampaignResult, GoldenArtifacts, InjOutcome,
-    OutputCompare, QuarantineRecord,
+    Campaign, CampaignConfig, CampaignError, CampaignResult, InjOutcome, OutputCompare,
+    QuarantineRecord,
 };
 pub use isolate::RunSession;
 pub use sampler::{

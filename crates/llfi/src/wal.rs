@@ -438,7 +438,7 @@ impl WalInner {
 }
 
 /// Thread-safe appender for a campaign's WAL. Workers share one sink;
-/// appends are buffered and flushed to the OS every [`FLUSH_BATCH`]
+/// appends are buffered and flushed to the OS every `FLUSH_BATCH`
 /// records (and once more when the campaign finishes).
 ///
 /// Write errors do not abort the campaign mid-flight (the in-memory
@@ -540,8 +540,8 @@ impl WalSink {
     }
 
     /// Append one completed run. Buffered; flushed every
-    /// [`FLUSH_BATCH`] records (or every `EPVF_WAL_FLUSH_BATCH` when
-    /// that environment override is set — see [`flush_batch`]).
+    /// `FLUSH_BATCH` records (or every `EPVF_WAL_FLUSH_BATCH` when
+    /// that environment override is set — see `flush_batch`).
     pub fn append(&self, index: usize, spec: InjectionSpec, outcome: InjOutcome) {
         let payload = encode_payload(index, spec, outcome);
         let mut inner = self.inner.lock().unwrap_or_else(|p| p.into_inner());

@@ -199,15 +199,9 @@ define_counters! {
         "allocated runs actually executed by sampled campaigns"),
     SamplerCiHalfWidthPpm => ("llfi.sampler.ci_halfwidth_ppm", Max, true,
         "95% CI half-width at stop, parts per million (worst of SDC/crash)"),
-    // --- shard merge + serve daemon ---
+    // --- shard merge ---
     MergeShardWals => ("llfi.merge.shard_wals", Sum, false,
         "shard write-ahead logs folded into merged aggregates"),
-    ServeCampaigns => ("serve.campaigns", Sum, false,
-        "campaign requests executed by the serve daemon"),
-    ServeCacheHits => ("serve.cache.hits", Sum, false,
-        "serve requests whose golden artifacts came from the cache"),
-    ServeCacheMisses => ("serve.cache.misses", Sum, false,
-        "serve requests that executed a fresh golden run (cache cold)"),
     // --- shard supervisor ---
     SupervisorShards => ("supervisor.shards", Sum, false,
         "shard slots a supervisor was asked to complete"),

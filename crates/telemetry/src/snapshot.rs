@@ -273,17 +273,6 @@ impl MetricsSnapshot {
             ),
         );
         law(
-            // Every serve campaign resolves its golden artifacts exactly
-            // once: from the cache or by a fresh golden run.
-            sum(&["serve.cache.hits", "serve.cache.misses"]) == Some(c("serve.campaigns")),
-            format!(
-                "serve cache hits ({}) + misses ({}) must equal campaigns served ({})",
-                c("serve.cache.hits"),
-                c("serve.cache.misses"),
-                c("serve.campaigns")
-            ),
-        );
-        law(
             // Every section run a compositional analysis considers resolves
             // exactly once: replayed from the cache or recomputed.
             sum(&["analyze.cache.hits", "analyze.cache.misses"])
