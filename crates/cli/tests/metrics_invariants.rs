@@ -202,6 +202,25 @@ fn metrics_check_validates_and_rejects() {
 }
 
 #[test]
+fn deeply_nested_document_is_a_schema_error_not_a_crash() {
+    let mut deep = std::env::temp_dir();
+    deep.push(format!("epvf-mc-deep-{}.json", std::process::id()));
+    std::fs::write(&deep, "[".repeat(300_000) + &"]".repeat(300_000)).expect("writes");
+    let out = Command::new(env!("CARGO_BIN_EXE_epvf"))
+        .arg("metrics-check")
+        .arg(&deep)
+        .output()
+        .expect("epvf runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(7), "{stderr}");
+    assert!(
+        stderr.contains("schema error: nested deeper than 64 levels at byte 64"),
+        "{stderr}"
+    );
+    std::fs::remove_file(&deep).ok();
+}
+
+#[test]
 fn hostile_counter_breaks_a_law_and_refuses_to_merge() {
     // A campaign's own metrics, with one class counter set to u64::MAX:
     // summing the classes overflows, and so does merging two copies.

@@ -10,7 +10,7 @@
 use crate::propagation::CrashMap;
 use epvf_ddg::{AceGraph, Ddg, NodeId, NodeKind};
 use epvf_interp::{DynValueId, Trace};
-use epvf_ir::{Inst, Module, StaticInstId, Value};
+use epvf_ir::{InstIndex, Module, Value};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
@@ -71,12 +71,7 @@ pub fn bit_census(
     ace: &AceGraph,
     crash_map: &CrashMap,
 ) -> BitCensus {
-    let mut by_sid: Vec<Option<&Inst>> = vec![None; module.n_static_insts as usize];
-    for f in &module.functions {
-        for inst in f.insts() {
-            by_sid[inst.sid.index()] = Some(inst);
-        }
-    }
+    let index = InstIndex::new(module);
     let mut by_dyn: HashMap<DynValueId, NodeId> = HashMap::with_capacity(ddg.len());
     for (i, n) in ddg.nodes().iter().enumerate() {
         if let NodeKind::Reg(dv) = n.kind {
@@ -86,7 +81,7 @@ pub fn bit_census(
 
     let mut census = BitCensus::default();
     for rec in trace {
-        let inst = by_sid[StaticInstId::index(rec.sid)].expect("trace matches module");
+        let inst = index.get(rec.sid);
         let mnemonic = inst.op.mnemonic();
         let func = &module.functions[rec.func.index()];
         let row = census.rows.entry(mnemonic).or_default();

@@ -32,7 +32,9 @@ use crate::section_cache::{OpTarget, SectionCache, SummaryOp, SECT_VERSION};
 use epvf_ddg::{AceGraph, Ddg, NodeId, NodeKind};
 use epvf_interp::{section_runs, DynInst, Trace};
 use epvf_ir::{Fnv64, Module, SectionMap};
-use std::collections::HashMap;
+
+/// A `pos` entry for a node outside the current run's closure.
+const NOT_IN_CLOSURE: u32 = u32::MAX;
 
 /// Fold an optional constraint into a cache key.
 fn hash_constraint(k: &mut Fnv64, c: Option<&crate::propagation::Constraint>) {
@@ -96,7 +98,10 @@ pub(crate) fn compose_model(
     let runs = section_runs(trace, |sid| sections.section_of(sid));
     let mut sweep = Sweep::new(module, trace, ddg);
     let sid_hash = sid_text_hashes(module);
-    let mut map = CrashMap::default();
+    let mut map = CrashMap::new(trace, ddg);
+    let mut touched = TouchSet::new(&map);
+    // Each closure node's discovery position, filled and cleared per run.
+    let mut pos = vec![NOT_IN_CLOSURE; ddg.len()];
 
     for run in runs {
         // Runs without roots are no-ops in both engines and are skipped
@@ -119,11 +124,9 @@ pub(crate) fn compose_model(
         }
 
         let order = ddg.backward_closure_ordered(roots.iter().map(|r| r.def));
-        let pos: HashMap<NodeId, u32> = order
-            .iter()
-            .enumerate()
-            .map(|(i, &n)| (n, i as u32))
-            .collect();
+        for (i, &n) in order.iter().enumerate() {
+            pos[n.index()] = i as u32;
+        }
         let key = section_key(
             module,
             trace,
@@ -137,7 +140,23 @@ pub(crate) fn compose_model(
             &sid_hash,
         );
 
-        if let Some(ops) = cache.lookup(key) {
+        // A summary fits when each op targets a closure node and each use
+        // op an operand of the record that node's definition.
+        let fits = |ops: &[SummaryOp]| {
+            ops.iter().all(|op| {
+                order
+                    .get(op.target as usize)
+                    .is_some_and(|&n| match op.kind {
+                        OpTarget::Node => true,
+                        OpTarget::Use => ddg
+                            .node(n)
+                            .def_record
+                            .and_then(|r| trace.get(r))
+                            .is_some_and(|rec| (op.slot as usize) < rec.operands.len()),
+                    })
+            })
+        };
+        if let Some(ops) = cache.find(key, fits) {
             // Replay: the key guarantees recomputation would produce
             // exactly these final constraints — assign them directly.
             for op in ops.iter() {
@@ -148,29 +167,33 @@ pub(crate) fn compose_model(
                         let rec_idx = ddg
                             .node(node)
                             .def_record
-                            .expect("use summary targets a defining record");
+                            .expect("a fitting use summary targets a defining record");
                         map.set_use(rec_idx, op.slot as usize, op.constraint);
                     }
                 }
             }
         } else {
-            let mut touched = TouchSet::default();
+            touched.clear();
             let mut sink = PropSink {
                 map: &mut map,
                 touched: Some(&mut touched),
             };
             // One root at a time. One sweep per run would reach the same map,
-            // keys and summaries far faster, but a warm replay, dominated by
-            // its O(closure) key, would then no longer beat a cold run by the
-            // 3x the section-cache harness gates on; that waits for an
-            // O(run) key.
+            // keys and summaries far faster, but a warm replay, bound by its
+            // O(closure) key, would then no longer beat a cold run by the 3x
+            // the section-cache harness gates on. A cheaper key would not
+            // change that: an O(run) key hashes more bytes than the closure
+            // key on that harness's kernel (DESIGN §14).
             for &root in &roots {
                 sweep.seed(&mut sink, root);
                 sweep.drain(&mut sink);
             }
-            if let Some(ops) = encode_summary_ops(ddg, &map, &touched, &order, &pos) {
+            if let Some(ops) = encode_summary_ops(ddg, &map, &touched, &pos) {
                 cache.store(key, ops);
             }
+        }
+        for &n in &order {
+            pos[n.index()] = NOT_IN_CLOSURE;
         }
     }
     map
@@ -184,19 +207,13 @@ fn encode_summary_ops(
     ddg: &Ddg,
     map: &CrashMap,
     touched: &TouchSet,
-    order: &[NodeId],
-    pos: &HashMap<NodeId, u32>,
+    pos: &[u32],
 ) -> Option<Vec<SummaryOp>> {
-    // def_record → discovery ref, for use keys.
-    let mut rec_ref: HashMap<u64, u32> = HashMap::new();
-    for (i, &n) in order.iter().enumerate() {
-        if let Some(r) = ddg.node(n).def_record {
-            rec_ref.entry(r).or_insert(i as u32);
-        }
-    }
+    let discovered = |n: NodeId| Some(pos[n.index()]).filter(|&p| p != NOT_IN_CLOSURE);
     let mut ops = Vec::with_capacity(touched.uses.len() + touched.nodes.len());
     for &(dyn_idx, slot) in &touched.uses {
-        let target = *rec_ref.get(&dyn_idx)?;
+        // A use is addressed through the node its record defines.
+        let target = discovered(ddg.def_of_record(dyn_idx)?)?;
         ops.push(SummaryOp {
             kind: OpTarget::Use,
             target,
@@ -207,7 +224,7 @@ fn encode_summary_ops(
         });
     }
     for &node in &touched.nodes {
-        let target = *pos.get(&node)?;
+        let target = discovered(node)?;
         ops.push(SummaryOp {
             kind: OpTarget::Node,
             target,
@@ -217,7 +234,7 @@ fn encode_summary_ops(
                 .expect("touched node has a constraint"),
         });
     }
-    // Deterministic byte layout regardless of hash-set iteration order.
+    // Deterministic byte layout: key order, not the order keys were touched.
     ops.sort_by_key(|o| (o.kind, o.target, o.slot));
     Some(ops)
 }
@@ -233,7 +250,7 @@ fn section_key(
     content_hash: u64,
     roots: &[Root],
     order: &[NodeId],
-    pos: &HashMap<NodeId, u32>,
+    pos: &[u32],
     sid_hash: &[u64],
 ) -> u64 {
     let mut k = Fnv64::new();
@@ -256,7 +273,7 @@ fn section_key(
     for root in roots {
         let rec = trace.get(root.idx).expect("root record");
         let mem = rec.mem.as_ref().expect("root has access");
-        k.u32(pos[&root.def]);
+        k.u32(pos[root.def.index()]);
         k.u64(root.range.lo);
         k.u64(root.range.hi);
         k.u8(mem.is_store as u8);
@@ -281,7 +298,7 @@ fn section_key(
         k.u32(node.bits);
         k.u32(node.deps.len() as u32);
         for &(d, kind) in &node.deps {
-            k.u32(pos[&d]);
+            k.u32(pos[d.index()]);
             k.u8(match kind {
                 epvf_ddg::EdgeKind::Data => 0,
                 epvf_ddg::EdgeKind::Addr => 1,
@@ -310,7 +327,7 @@ fn hash_record(
     module: &Module,
     ddg: &Ddg,
     map: &CrashMap,
-    pos: &HashMap<NodeId, u32>,
+    pos: &[u32],
     n: NodeId,
     rec: &DynInst,
 ) {
@@ -335,7 +352,7 @@ fn hash_record(
         match matched {
             // A matched dep of a closure node is itself in the closure
             // (closures are dep-complete), so `pos` is total here.
-            Some(d) => k.u32(pos[&d]),
+            Some(d) => k.u32(pos[d.index()]),
             None => k.u32(u32::MAX),
         }
         hash_constraint(k, map.use_constraint(rec.idx, slot));

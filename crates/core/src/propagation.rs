@@ -18,8 +18,7 @@ use crate::crash_model::{check_boundary, CrashModelConfig};
 use crate::range::ValueRange;
 use epvf_ddg::{AceGraph, Ddg, EdgeKind, NodeId, NodeKind};
 use epvf_interp::{DynInst, Trace};
-use epvf_ir::{BinOp, CastOp, Inst, Module, Op, StaticInstId, Value};
-use epvf_memsim::{WordMap, WordSet};
+use epvf_ir::{BinOp, CastOp, InstIndex, Module, Op, Value};
 use serde::{Deserialize, Serialize};
 use std::collections::BinaryHeap;
 
@@ -56,25 +55,69 @@ impl Constraint {
 }
 
 /// The paper's `CRASHING_BIT_LIST`: per-use and per-node crash constraints.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+///
+/// Stored densely, by the ids the pipeline hands out in trace order: node
+/// constraints by [`NodeId`], use constraints by operand slot, where the
+/// slots of record `i` start at the sum of the operand counts of the
+/// records before it. A map is sized for one trace and its DDG; a lookup
+/// outside them finds no constraint.
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct CrashMap {
-    /// `(dynamic instruction, operand slot)` → constraint on that read.
-    uses: WordMap<(u64, usize), Constraint>,
-    /// DDG node → constraint on the value it carries.
-    nodes: WordMap<NodeId, Constraint>,
+    /// Record `i` owns `uses[use_base[i]..use_base[i + 1]]`, one entry per
+    /// operand.
+    use_base: Vec<u32>,
+    /// Constraint on each operand read.
+    uses: Vec<Option<Constraint>>,
+    /// Constraint on the value each DDG node carries.
+    nodes: Vec<Option<Constraint>>,
+}
+
+/// Two maps are equal when they constrain the same keys with the same
+/// constraints, whatever they were sized for.
+impl PartialEq for CrashMap {
+    fn eq(&self, other: &Self) -> bool {
+        self.uses().eq(other.uses()) && self.nodes().eq(other.nodes())
+    }
 }
 
 impl CrashMap {
+    /// A map with no constraints, sized for `trace` and its DDG.
+    pub(crate) fn new(trace: &Trace, ddg: &Ddg) -> Self {
+        let mut use_base = Vec::with_capacity(trace.len() + 1);
+        let mut n_slots = 0u32;
+        use_base.push(n_slots);
+        for rec in trace {
+            n_slots = u32::try_from(rec.operands.len())
+                .ok()
+                .and_then(|n| n_slots.checked_add(n))
+                .expect("a trace reads fewer than 2^32 operands");
+            use_base.push(n_slots);
+        }
+        CrashMap {
+            use_base,
+            uses: vec![None; n_slots as usize],
+            nodes: vec![None; ddg.len()],
+        }
+    }
+
+    /// Where operand `slot` of record `dyn_idx` sits in `uses`, if the
+    /// map was sized for that record and it has that operand.
+    fn use_index(&self, dyn_idx: u64, slot: usize) -> Option<usize> {
+        let rec = usize::try_from(dyn_idx).ok()?;
+        let start = *self.use_base.get(rec)? as usize;
+        let end = *self.use_base.get(rec + 1)? as usize;
+        (slot < end - start).then_some(start + slot)
+    }
+
     /// The constraint on operand `slot` of dynamic instruction `dyn_idx`.
     pub fn use_constraint(&self, dyn_idx: u64, slot: usize) -> Option<&Constraint> {
-        self.uses.get(&(dyn_idx, slot))
+        self.uses[self.use_index(dyn_idx, slot)?].as_ref()
     }
 
     /// Does the model predict a crash for flipping `bit` of that operand
     /// read? `false` when the location carries no constraint.
     pub fn predicts_crash(&self, dyn_idx: u64, slot: usize, bit: u8) -> bool {
-        self.uses
-            .get(&(dyn_idx, slot))
+        self.use_constraint(dyn_idx, slot)
             .is_some_and(|c| bit < c.width as u8 && c.range.flip_crashes(c.value, bit))
     }
 
@@ -84,7 +127,7 @@ impl CrashMap {
     /// crash (they never arise from in-universe specs), and a single-bit
     /// mask gives exactly `predicts_crash` of that bit.
     pub fn predicts_crash_mask(&self, dyn_idx: u64, slot: usize, mask: u64) -> bool {
-        self.uses.get(&(dyn_idx, slot)).is_some_and(|c| {
+        self.use_constraint(dyn_idx, slot).is_some_and(|c| {
             let width_mask = if c.width >= 64 {
                 u64::MAX
             } else {
@@ -96,30 +139,46 @@ impl CrashMap {
 
     /// The constraint attached to a DDG node, if any.
     pub fn node_constraint(&self, node: NodeId) -> Option<&Constraint> {
-        self.nodes.get(&node)
+        self.nodes.get(node.index())?.as_ref()
     }
 
-    /// Iterate all use constraints.
-    pub fn uses(&self) -> impl Iterator<Item = (&(u64, usize), &Constraint)> {
-        self.uses.iter()
+    /// Iterate all use constraints as `((dyn_idx, slot), constraint)`, in
+    /// record order, then slot order.
+    pub fn uses(&self) -> impl Iterator<Item = ((u64, usize), &Constraint)> {
+        self.use_base
+            .windows(2)
+            .enumerate()
+            .flat_map(move |(rec, w)| {
+                self.uses[w[0] as usize..w[1] as usize]
+                    .iter()
+                    .enumerate()
+                    .filter_map(move |(slot, c)| Some(((rec as u64, slot), c.as_ref()?)))
+            })
+    }
+
+    /// The node constraints in node-id order.
+    fn nodes(&self) -> impl Iterator<Item = (NodeId, &Constraint)> {
+        self.nodes
+            .iter()
+            .enumerate()
+            .filter_map(|(id, c)| Some((NodeId(id as u32), c.as_ref()?)))
     }
 
     /// Number of constrained uses.
     pub fn n_uses(&self) -> usize {
-        self.uses.len()
+        self.uses.iter().flatten().count()
     }
 
     /// Number of constrained nodes.
     pub fn n_nodes(&self) -> usize {
-        self.nodes.len()
+        self.nodes.iter().flatten().count()
     }
 
     /// Σ crash bits over ACE register nodes — the `CrashBits` term of the
     /// paper's Eq. 2.
     pub fn ace_register_crash_bits(&self, ddg: &Ddg, ace: &AceGraph) -> u64 {
-        self.nodes
-            .iter()
-            .filter(|(id, _)| ace.contains(**id) && ddg.node(**id).kind.is_reg())
+        self.nodes()
+            .filter(|&(id, _)| ace.contains(id) && ddg.node(id).kind.is_reg())
             .map(|(_, c)| u64::from(c.crash_bit_count()))
             .sum()
     }
@@ -128,11 +187,14 @@ impl CrashMap {
     /// estimate validated in the paper's Fig. 8).
     pub fn total_use_crash_bits(&self) -> u64 {
         self.uses
-            .values()
+            .iter()
+            .flatten()
             .map(|c| u64::from(c.crash_bit_count()))
             .sum()
     }
 
+    /// Intersect the constraint on a use with `range`; returns the use's
+    /// position in `uses`.
     fn constrain_use(
         &mut self,
         dyn_idx: u64,
@@ -140,8 +202,11 @@ impl CrashMap {
         range: ValueRange,
         value: u64,
         width: u32,
-    ) {
-        let entry = self.uses.entry((dyn_idx, slot)).or_insert(Constraint {
+    ) -> usize {
+        let i = self
+            .use_index(dyn_idx, slot)
+            .expect("a constrained use is an operand of a traced record");
+        let entry = self.uses[i].get_or_insert(Constraint {
             range: ValueRange::FULL,
             value,
             width,
@@ -152,22 +217,26 @@ impl CrashMap {
             "use ({dyn_idx}, {slot}): the first write's value and width must hold for every write"
         );
         entry.range = entry.range.intersect(range);
+        i
     }
 
     /// Insert a use constraint verbatim (compositional replay: the recorded
     /// final state of a cached section is re-applied without re-propagating).
     pub(crate) fn set_use(&mut self, dyn_idx: u64, slot: usize, c: Constraint) {
-        self.uses.insert((dyn_idx, slot), c);
+        let i = self
+            .use_index(dyn_idx, slot)
+            .expect("a fitting summary use is an operand of a traced record");
+        self.uses[i] = Some(c);
     }
 
     /// Insert a node constraint verbatim (compositional replay).
     pub(crate) fn set_node(&mut self, node: NodeId, c: Constraint) {
-        self.nodes.insert(node, c);
+        self.nodes[node.index()] = Some(c);
     }
 
     /// Tighten a node constraint; returns `true` if it actually shrank.
     fn tighten_node(&mut self, node: NodeId, range: ValueRange, value: u64, width: u32) -> bool {
-        let entry = self.nodes.entry(node).or_insert(Constraint {
+        let entry = self.nodes[node.index()].get_or_insert(Constraint {
             range: ValueRange::FULL,
             value,
             width,
@@ -191,13 +260,59 @@ impl CrashMap {
 /// The set of [`CrashMap`] keys a propagation pass wrote — recorded by the
 /// compositional engine so a section's net effect (final constraints on the
 /// touched keys) can be cached and replayed without re-propagating.
-#[derive(Debug, Default)]
+///
+/// One set serves every section run of a pass: a key's mark, indexed like
+/// the map's arrays, holds the number of the run that last touched it, so
+/// [`TouchSet::clear`] only starts a new run and empties the key lists.
+#[derive(Debug)]
 pub(crate) struct TouchSet {
-    /// `(dynamic instruction, operand slot)` keys written.
-    pub uses: WordSet<(u64, usize)>,
-    /// Node keys written (including no-op tightenings: the key set, not the
-    /// shrink history, is what replay needs).
-    pub nodes: WordSet<NodeId>,
+    run: u32,
+    use_marks: Vec<u32>,
+    node_marks: Vec<u32>,
+    /// `(dynamic instruction, operand slot)` keys written, each once.
+    pub uses: Vec<(u64, usize)>,
+    /// Node keys written, each once (including no-op tightenings: the key
+    /// set, not the shrink history, is what replay needs).
+    pub nodes: Vec<NodeId>,
+}
+
+impl TouchSet {
+    /// An empty set for the keys of `map`.
+    pub(crate) fn new(map: &CrashMap) -> Self {
+        TouchSet {
+            run: 1,
+            use_marks: vec![0; map.uses.len()],
+            node_marks: vec![0; map.nodes.len()],
+            uses: Vec::new(),
+            nodes: Vec::new(),
+        }
+    }
+
+    /// Forget every key.
+    pub(crate) fn clear(&mut self) {
+        self.run = self
+            .run
+            .checked_add(1)
+            .expect("fewer than 2^32 section runs");
+        self.uses.clear();
+        self.nodes.clear();
+    }
+
+    /// Record a write to the use at position `i` of the map's `uses`.
+    fn touch_use(&mut self, i: usize, key: (u64, usize)) {
+        if self.use_marks[i] != self.run {
+            self.use_marks[i] = self.run;
+            self.uses.push(key);
+        }
+    }
+
+    /// Record a write to `node`.
+    fn touch_node(&mut self, node: NodeId) {
+        if self.node_marks[node.index()] != self.run {
+            self.node_marks[node.index()] = self.run;
+            self.nodes.push(node);
+        }
+    }
 }
 
 /// A [`CrashMap`] plus an optional touch recorder. The [`Sweep`] writes
@@ -217,45 +332,17 @@ impl PropSink<'_> {
         value: u64,
         width: u32,
     ) {
+        let i = self.map.constrain_use(dyn_idx, slot, range, value, width);
         if let Some(t) = self.touched.as_deref_mut() {
-            t.uses.insert((dyn_idx, slot));
+            t.touch_use(i, (dyn_idx, slot));
         }
-        self.map.constrain_use(dyn_idx, slot, range, value, width);
     }
 
     fn tighten_node(&mut self, node: NodeId, range: ValueRange, value: u64, width: u32) -> bool {
         if let Some(t) = self.touched.as_deref_mut() {
-            t.nodes.insert(node);
+            t.touch_node(node);
         }
         self.map.tighten_node(node, range, value, width)
-    }
-}
-
-/// Per-static-instruction lookup used while walking the trace.
-struct InstIndex<'m> {
-    by_sid: Vec<Option<&'m Inst>>,
-}
-
-impl<'m> InstIndex<'m> {
-    fn new(module: &'m Module) -> Self {
-        let mut by_sid: Vec<Option<&'m Inst>> = vec![None; module.n_static_insts as usize];
-        for f in &module.functions {
-            for inst in f.insts() {
-                if inst.sid.index() >= by_sid.len() {
-                    by_sid.resize(inst.sid.index() + 1, None);
-                }
-                by_sid[inst.sid.index()] = Some(inst);
-            }
-        }
-        InstIndex { by_sid }
-    }
-
-    fn get(&self, sid: StaticInstId) -> &'m Inst {
-        self.by_sid
-            .get(sid.index())
-            .copied()
-            .flatten()
-            .expect("trace references instruction missing from module")
     }
 }
 
@@ -468,7 +555,7 @@ pub fn propagate_scoped(
     scope: CrashScope,
 ) -> CrashMap {
     let _span = epvf_telemetry::span(epvf_telemetry::Tmr::CorePropagate);
-    let mut map = CrashMap::default();
+    let mut map = CrashMap::new(trace, ddg);
     let mut sweep = Sweep::new(module, trace, ddg);
     let mut sink = PropSink {
         map: &mut map,

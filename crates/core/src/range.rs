@@ -29,7 +29,9 @@ impl ValueRange {
         hi: u64::MAX,
     };
 
-    /// Construct, normalizing an inverted pair into an empty-ish range.
+    /// Construct from the two ends as given. An inverted pair (`lo > hi`)
+    /// is kept as it is: it contains no value, so every flip of any value
+    /// crashes.
     pub fn new(lo: u64, hi: u64) -> Self {
         ValueRange { lo, hi }
     }
@@ -68,10 +70,29 @@ impl ValueRange {
     }
 
     /// Number of crash bits of `value` below `width`.
+    ///
+    /// For a value inside the range this is closed-form: flipping a clear
+    /// bit `b` adds `2^b`, which crashes iff `2^b > hi - value`, and
+    /// flipping a set bit subtracts `2^b`, which crashes iff
+    /// `2^b > value - lo`. A value outside the range (an inverted pair, or
+    /// `check_boundary`'s `[0, 0]` fallback) takes the bit-by-bit count.
     pub fn crash_bit_count(self, value: u64, width: u32) -> u32 {
-        if self.is_full() {
-            return 0;
+        if !self.contains(value) {
+            return self.crash_bit_count_by_flips(value, width);
         }
+        // The bits `b` with `2^b > d`.
+        let above = |d: u64| u64::MAX.checked_shl(64 - d.leading_zeros()).unwrap_or(0);
+        let wmask = if width >= 64 {
+            u64::MAX
+        } else {
+            (1u64 << width) - 1
+        };
+        ((!value & above(self.hi - value) & wmask).count_ones())
+            + ((value & above(value - self.lo) & wmask).count_ones())
+    }
+
+    /// [`Self::crash_bit_count`] by flipping each bit in turn.
+    fn crash_bit_count_by_flips(self, value: u64, width: u32) -> u32 {
         (0..width.min(64))
             .filter(|b| !self.contains(value ^ (1u64 << b)))
             .count() as u32
@@ -147,6 +168,60 @@ mod tests {
         let r = ValueRange::new(0x100, 0x1FF);
         assert!(!r.flip_crashes(0x180, 0)); // 0x181 in range
         assert!(r.flip_crashes(0x180, 9)); // 0x080 below range
+    }
+
+    /// The closed form against the bit-by-bit count, on seeded random
+    /// inputs plus the cases drawn on purpose: the full range, point
+    /// ranges, values at either end, values outside, inverted pairs, and
+    /// widths from 0 to past 64.
+    #[test]
+    fn closed_form_crash_bit_count_equals_flipping_each_bit() {
+        let mut state = 0x5eed_u64;
+        // SplitMix64.
+        let mut next = move || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        for case in 0..200_000u32 {
+            let (a, b, c) = (next(), next(), next());
+            // Narrow some draws so small ranges and nearby values show up.
+            let shrink = |x: u64, k: u64| {
+                if k.is_multiple_of(3) {
+                    x >> (k % 64)
+                } else {
+                    x
+                }
+            };
+            let (a, b) = (shrink(a, c), shrink(b, c >> 8));
+            let (lo, hi) = (a.min(b), a.max(b));
+            let range = match case % 8 {
+                0 => ValueRange::FULL,
+                1 => ValueRange::new(lo, lo),
+                2 => ValueRange::new(hi, lo), // inverted unless equal
+                _ => ValueRange::new(lo, hi),
+            };
+            let span = range.hi.wrapping_sub(range.lo).wrapping_add(1);
+            let value = match (case / 8) % 5 {
+                0 => range.lo,
+                1 => range.hi,
+                2 => range.lo.wrapping_sub(1 + c % 4),
+                3 => range.hi.wrapping_add(1 + c % 4),
+                _ if span == 0 => c,
+                _ => range.lo.wrapping_add(c % span),
+            };
+            let in_word = 1 + (c >> 32) as u32 % 64;
+            let past_word = 65 + (c >> 40) as u32 % 1000;
+            for width in [0, 1, 8, 16, 32, 63, 64, in_word, past_word, u32::MAX] {
+                assert_eq!(
+                    range.crash_bit_count(value, width),
+                    range.crash_bit_count_by_flips(value, width),
+                    "{range} value {value:#x} width {width}"
+                );
+            }
+        }
     }
 
     #[test]

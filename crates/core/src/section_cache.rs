@@ -167,22 +167,35 @@ impl SectionCache {
         dir.join(format!("{key:016x}.sect"))
     }
 
-    /// Look up a section summary. Exactly one of hit/miss is counted per
-    /// call (the `hits + misses == sections` law).
+    /// [`Self::find`] accepting every summary.
+    #[cfg(test)]
     pub(crate) fn lookup(&mut self, key: u64) -> Option<Arc<Vec<SummaryOp>>> {
+        self.find(key, |_| true)
+    }
+
+    /// Look up a section summary that `fits` the run about to replay it.
+    /// Exactly one of hit/miss is counted per call (the `hits + misses ==
+    /// sections` law).
+    pub(crate) fn find(
+        &mut self,
+        key: u64,
+        fits: impl Fn(&[SummaryOp]) -> bool,
+    ) -> Option<Arc<Vec<SummaryOp>>> {
         use epvf_telemetry::{add, Ctr};
         self.stats.sections += 1;
         add(Ctr::AnalyzeCacheSections, 1);
-        if let Some(ops) = self.mem.get(&key) {
+        if let Some(ops) = self.mem.get(&key).filter(|ops| fits(ops)) {
             self.stats.hits += 1;
             add(Ctr::AnalyzeCacheHits, 1);
             return Some(Arc::clone(ops));
         }
-        // An absent (or unreadable) file is a plain miss; a readable but
-        // undecodable one is detected corruption: recompute, never reuse.
+        // An absent (or unreadable) file is a plain miss; a readable one
+        // that does not decode, or decodes to ops that do not fit the run
+        // (only a damaged or forged file can, since the key covers the
+        // run's shape), is detected corruption: recompute, never reuse.
         if let Some(dir) = self.dir.as_deref() {
             if let Ok(bytes) = std::fs::read(Self::path_of(dir, key)) {
-                match decode_summary(&bytes, key) {
+                match decode_summary(&bytes, key).filter(|ops| fits(ops)) {
                     Some(ops) => {
                         let ops = Arc::new(ops);
                         self.mem.insert(key, Arc::clone(&ops));
@@ -339,6 +352,49 @@ mod tests {
         assert_eq!((s.sections, s.hits, s.misses), (3, 1, 2));
         assert_eq!(s.hits + s.misses, s.sections);
         assert_eq!((s.corrupt, s.stored), (0, 1));
+    }
+
+    /// Summaries that decode but do not fit their runs (checksums
+    /// recomputed): a use slot past its record's operands, a target past
+    /// the closure. Each is corrupt: its run is recomputed, not replayed.
+    #[test]
+    fn summary_that_does_not_fit_its_run_is_corrupt() {
+        let w = epvf_workloads::by_name("mm", epvf_workloads::Scale::Tiny).expect("mm");
+        let golden = w.golden();
+        let trace = golden.trace.as_ref().expect("traced");
+        let config = crate::EpvfConfig::default();
+        let dir = std::env::temp_dir().join(format!("epvf-sect-fit-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut cold = SectionCache::persistent(&dir).expect("create");
+        let expected = crate::analyze_compositional(&w.module, trace, config, &mut cold);
+        let mut files: Vec<_> = std::fs::read_dir(&dir)
+            .expect("cache dir")
+            .map(|e| e.expect("entry").path())
+            .collect();
+        files.sort();
+        assert_eq!(files.len(), 2, "mm:tiny stores two summaries");
+        for (i, path) in files.iter().enumerate() {
+            let stem = path.file_stem().and_then(|s| s.to_str()).expect("name");
+            let key = u64::from_str_radix(stem, 16).expect("hex key");
+            let bytes = std::fs::read(path).expect("file");
+            let mut ops = decode_summary(&bytes, key).expect("decodes");
+            let op = ops
+                .iter_mut()
+                .find(|o| o.kind == OpTarget::Use)
+                .expect("a use op");
+            if i == 0 {
+                op.slot = u32::MAX;
+            } else {
+                op.target = u32::MAX;
+            }
+            std::fs::write(path, encode_summary(key, &ops)).expect("rewrite");
+        }
+        let mut warm = SectionCache::persistent(&dir).expect("reopen");
+        let got = crate::analyze_compositional(&w.module, trace, config, &mut warm);
+        assert_eq!(got.crash_map, expected.crash_map);
+        let s = warm.stats();
+        assert_eq!((s.sections, s.hits, s.misses, s.corrupt), (2, 0, 2, 2));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

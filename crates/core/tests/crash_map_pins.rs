@@ -32,7 +32,7 @@ fn hash_constraint(h: &mut Fnv64, c: &Constraint) {
 /// every node constraint in node-id order, each list prefixed by its length.
 fn fingerprint(r: &EpvfResult) -> u64 {
     let map = &r.crash_map;
-    let mut uses: Vec<((u64, usize), Constraint)> = map.uses().map(|(&k, &c)| (k, c)).collect();
+    let mut uses: Vec<((u64, usize), Constraint)> = map.uses().map(|(k, &c)| (k, c)).collect();
     uses.sort_by_key(|&(k, _)| k);
     let mut h = Fnv64::new();
     h.u64(uses.len() as u64);

@@ -1,10 +1,9 @@
 //! DDG construction from a dynamic trace (§III-A).
 
 use crate::graph::{Ddg, EdgeKind, Node, NodeId, NodeKind};
-use epvf_interp::{DynInst, DynValueId, Trace};
-use epvf_ir::{Inst, Module, Op, Type, Value};
+use epvf_interp::{DynInst, DynValueId, Trace, WordMap};
+use epvf_ir::{Inst, InstIndex, Module, Op, Type, Value};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// DDG construction options.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -23,36 +22,6 @@ impl Default for DdgConfig {
     }
 }
 
-/// Per-static-instruction index used to interpret trace records without
-/// repeated module scans.
-#[derive(Debug)]
-pub(crate) struct InstIndex<'m> {
-    by_sid: Vec<Option<&'m Inst>>,
-}
-
-impl<'m> InstIndex<'m> {
-    pub(crate) fn new(module: &'m Module) -> Self {
-        let mut by_sid: Vec<Option<&'m Inst>> = vec![None; module.n_static_insts as usize];
-        for f in &module.functions {
-            for inst in f.insts() {
-                if inst.sid.index() >= by_sid.len() {
-                    by_sid.resize(inst.sid.index() + 1, None);
-                }
-                by_sid[inst.sid.index()] = Some(inst);
-            }
-        }
-        InstIndex { by_sid }
-    }
-
-    pub(crate) fn get(&self, sid: epvf_ir::StaticInstId) -> &'m Inst {
-        self.by_sid
-            .get(sid.index())
-            .copied()
-            .flatten()
-            .expect("trace references instruction missing from module")
-    }
-}
-
 /// Type (and hence width) of a traced operand.
 fn operand_type(module: &Module, rec: &DynInst, v: Value) -> Type {
     match v {
@@ -62,13 +31,24 @@ fn operand_type(module: &Module, rec: &DynInst, v: Value) -> Type {
     }
 }
 
+/// A `by_dyn` entry whose dynamic value has no node yet.
+const NO_NODE: NodeId = NodeId(u32::MAX);
+
 struct Builder<'m> {
     module: &'m Module,
     config: DdgConfig,
     nodes: Vec<Node>,
-    by_dyn: HashMap<DynValueId, NodeId>,
+    /// Dynamic value → its node, indexed by `DynValueId` up to the last
+    /// result id of the trace. The interpreter hands ids out from a
+    /// counter, so that covers every id a record reads except the few
+    /// issued after the last result (a constant passed through a call or
+    /// return) and the `u64::MAX` it leaves in an unset register; those
+    /// live in `late_dyn`, so no id sizes the vector that the interpreter
+    /// never issued.
+    by_dyn: Vec<NodeId>,
+    late_dyn: WordMap<DynValueId, NodeId>,
     /// byte address → memory node that last wrote it
-    last_store: HashMap<u64, NodeId>,
+    last_store: WordMap<u64, NodeId>,
     outputs: Vec<NodeId>,
     controls: Vec<NodeId>,
     record_def: Vec<Option<NodeId>>,
@@ -81,10 +61,28 @@ impl<'m> Builder<'m> {
         id
     }
 
+    /// The node carrying dynamic value `dv`, if one exists yet.
+    fn node_of(&self, dv: DynValueId) -> Option<NodeId> {
+        match self.by_dyn.get(dv.index()) {
+            Some(&id) => (id != NO_NODE).then_some(id),
+            None => self.late_dyn.get(&dv).copied(),
+        }
+    }
+
+    /// Make `id` the node carrying `dv`.
+    fn bind(&mut self, dv: DynValueId, id: NodeId) {
+        match self.by_dyn.get_mut(dv.index()) {
+            Some(entry) => *entry = id,
+            None => {
+                self.late_dyn.insert(dv, id);
+            }
+        }
+    }
+
     /// Node for a dynamic register value; creates a def-less register node
     /// (entry argument / constant-bound parameter) on first sight.
     fn reg_node(&mut self, dv: DynValueId, bits: u32) -> NodeId {
-        if let Some(&id) = self.by_dyn.get(&dv) {
+        if let Some(id) = self.node_of(dv) {
             return id;
         }
         let id = self.push_node(Node {
@@ -93,7 +91,7 @@ impl<'m> Builder<'m> {
             def_record: None,
             deps: Vec::new(),
         });
-        self.by_dyn.insert(dv, id);
+        self.bind(dv, id);
         id
     }
 
@@ -118,7 +116,7 @@ impl<'m> Builder<'m> {
             def_record: Some(rec.idx),
             deps,
         });
-        self.by_dyn.insert(dv, id);
+        self.bind(dv, id);
         Some(id)
     }
 
@@ -220,12 +218,20 @@ pub fn build_ddg(module: &Module, trace: &Trace) -> Ddg {
 pub fn build_ddg_with(module: &Module, trace: &Trace, config: DdgConfig) -> Ddg {
     let _span = epvf_telemetry::span(epvf_telemetry::Tmr::DdgBuild);
     let index = InstIndex::new(module);
+    // Result ids grow along the trace, so the last one is the largest.
+    let n_dyn = trace
+        .records
+        .iter()
+        .rev()
+        .find_map(|r| r.result)
+        .map_or(0, |(_, _, dv)| dv.index() + 1);
     let mut b = Builder {
         module,
         config,
         nodes: Vec::with_capacity(trace.len()),
-        by_dyn: HashMap::with_capacity(trace.len()),
-        last_store: HashMap::new(),
+        by_dyn: vec![NO_NODE; n_dyn],
+        late_dyn: WordMap::default(),
+        last_store: WordMap::default(),
         outputs: Vec::new(),
         controls: Vec::new(),
         record_def: vec![None; trace.len()],

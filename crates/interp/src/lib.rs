@@ -52,6 +52,10 @@ mod machine;
 mod outcome;
 mod trace;
 
+/// The simulator's word-keyed hash map, for trace consumers that key by
+/// byte address (the DDG builder's last-store index) without a dependency
+/// on `epvf-memsim` of their own.
+pub use epvf_memsim::WordMap;
 pub use machine::{
     ExecConfig, ExecError, FaultEffect, InjectionSpec, Interpreter, MachineFault, ReplayOutcome,
     Snapshot, DEADLINE_CHECK_STRIDE,

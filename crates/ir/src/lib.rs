@@ -46,7 +46,7 @@ pub mod verify;
 pub use builder::{FunctionBuilder, ModuleBuilder};
 pub use fnv::{fnv1a32, Fnv64};
 pub use inst::{BinOp, CastOp, FBinOp, FUnOp, FcmpPred, IcmpPred, Inst, Op};
-pub use module::{Block, Function, Global, Module};
+pub use module::{Block, Function, Global, InstIndex, Module};
 pub use parse::{parse_module, ParseError};
 pub use section::{Section, SectionKind, SectionMap};
 pub use types::Type;

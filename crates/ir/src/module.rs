@@ -164,6 +164,44 @@ impl Module {
     }
 }
 
+/// Static instruction id → instruction: the table the trace consumers
+/// (DDG build, propagation, bit census) look each record's instruction up
+/// in, instead of scanning the module per record like
+/// [`Module::find_inst`].
+#[derive(Debug)]
+pub struct InstIndex<'m> {
+    by_sid: Vec<Option<&'m Inst>>,
+}
+
+impl<'m> InstIndex<'m> {
+    /// Index every instruction of `module` by its static id.
+    pub fn new(module: &'m Module) -> Self {
+        let mut by_sid: Vec<Option<&'m Inst>> = vec![None; module.n_static_insts as usize];
+        for f in &module.functions {
+            for inst in f.insts() {
+                if inst.sid.index() >= by_sid.len() {
+                    by_sid.resize(inst.sid.index() + 1, None);
+                }
+                by_sid[inst.sid.index()] = Some(inst);
+            }
+        }
+        InstIndex { by_sid }
+    }
+
+    /// The instruction with static id `sid`.
+    ///
+    /// # Panics
+    /// Panics if the module has no such instruction: the trace being read
+    /// belongs to another module.
+    pub fn get(&self, sid: StaticInstId) -> &'m Inst {
+        self.by_sid
+            .get(sid.index())
+            .copied()
+            .flatten()
+            .expect("trace references instruction missing from module")
+    }
+}
+
 impl fmt::Display for Module {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "; module {}", self.name)?;

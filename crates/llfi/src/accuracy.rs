@@ -83,7 +83,7 @@ pub fn predicted_crash_specs(campaign: &Campaign<'_>, crash_map: &CrashMap) -> V
     let module = campaign_module(campaign);
     let trace = campaign.golden().trace.as_ref().expect("golden is traced");
     let mut specs = Vec::new();
-    for (&(dyn_idx, slot), c) in crash_map.uses() {
+    for ((dyn_idx, slot), c) in crash_map.uses() {
         let Some(rec) = trace.get(dyn_idx) else {
             continue;
         };

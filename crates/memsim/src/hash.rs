@@ -1,15 +1,15 @@
 //! The one in-memory hasher for maps keyed by machine words.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// A multiplicative word hasher (the Fx construction) for the in-memory maps
-/// keyed by words: the simulator's page numbers, and the trace indices and
-/// node ids of the analysis. Those keys come from the program under
-/// analysis, not from an adversary, so SipHash's flooding resistance buys
-/// nothing here, and its cost dominated the hot loops that look them up.
-/// Nothing persisted depends on it: map order never reaches a cache file or
-/// a report.
+/// keyed by words: the simulator's page numbers, and the byte addresses and
+/// late dynamic value ids of the DDG builder. Those keys come from the
+/// program under analysis, not from an adversary, so SipHash's flooding
+/// resistance buys nothing here, and its cost dominated the hot loops that
+/// look them up. Nothing persisted depends on it: map order never reaches a
+/// cache file or a report.
 ///
 /// The product's low bits depend only on the key's low bits, and the map
 /// picks buckets by the low bits. Keys whose low bits are constant (page
@@ -56,6 +56,3 @@ impl Hasher for WordHasher {
 
 /// A `HashMap` hashed by [`WordHasher`].
 pub type WordMap<K, V> = HashMap<K, V, BuildHasherDefault<WordHasher>>;
-
-/// A `HashSet` hashed by [`WordHasher`].
-pub type WordSet<K> = HashSet<K, BuildHasherDefault<WordHasher>>;

@@ -46,7 +46,7 @@ mod vma;
 
 pub use ecc::{EccError, EccEvent};
 pub use fault::AccessError;
-pub use hash::{WordHasher, WordMap, WordSet};
+pub use hash::{WordHasher, WordMap};
 pub use memory::{
     AlignmentPolicy, MemConfig, MemStats, SimMemory, DATA_BASE, DEFAULT_STACK_LIMIT, HEAP_BASE,
     HEAP_SPAN, PAGE_SIZE, STACK_GUARD_WINDOW, STACK_TOP, TEXT_BASE, TEXT_SIZE,

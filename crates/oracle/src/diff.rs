@@ -370,7 +370,7 @@ pub fn hard_invariant_scan(
             });
         }
     }
-    for (&(dyn_idx, slot), c) in res.crash_map.uses() {
+    for ((dyn_idx, slot), c) in res.crash_map.uses() {
         if !c.range.contains(c.value) {
             violations.push(HardViolation {
                 spec: Some(InjectionSpec {

@@ -5,10 +5,59 @@
 //! implementation: enough JSON to round-trip [`crate::MetricsReport`]
 //! (objects, arrays, strings, unsigned integers, floats, bools, null)
 //! with strict parsing — trailing garbage, unterminated strings, and
-//! malformed escapes are errors, not best-effort recoveries.
+//! malformed escapes are errors, not best-effort recoveries. The parser
+//! recurses once per array or object level, so nesting is capped at
+//! [`MAX_DEPTH`]: a hostile document gets an error, not a stack overflow.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
+
+/// The deepest nesting of arrays and objects [`parse`] accepts. A metrics
+/// report nests four levels.
+pub const MAX_DEPTH: usize = 64;
+
+/// Why [`parse`] rejected a document.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum JsonError {
+    /// Arrays and objects nest deeper than [`MAX_DEPTH`]; `at` is the byte
+    /// offset of the bracket that opens the first level past it.
+    TooDeep {
+        /// Byte offset of that bracket.
+        at: usize,
+    },
+    /// Any other malformed input, described in words (most messages name
+    /// the byte offset).
+    Syntax(String),
+}
+
+impl fmt::Display for JsonError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            JsonError::TooDeep { at } => {
+                write!(f, "nested deeper than {MAX_DEPTH} levels at byte {at}")
+            }
+            JsonError::Syntax(msg) => f.write_str(msg),
+        }
+    }
+}
+
+impl From<String> for JsonError {
+    fn from(msg: String) -> Self {
+        JsonError::Syntax(msg)
+    }
+}
+
+impl From<&str> for JsonError {
+    fn from(msg: &str) -> Self {
+        JsonError::Syntax(msg.to_string())
+    }
+}
+
+impl From<JsonError> for String {
+    fn from(e: JsonError) -> Self {
+        e.to_string()
+    }
+}
 
 /// A parsed JSON value. Integers that fit `u64` are kept exact (`UInt`)
 /// rather than routed through `f64`, since counters are the payload.
@@ -151,16 +200,17 @@ fn write_escaped(s: &str, out: &mut String) {
 }
 
 /// Parse a complete JSON document; trailing non-whitespace is an error.
-pub fn parse(input: &str) -> Result<Json, String> {
+pub fn parse(input: &str) -> Result<Json, JsonError> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let value = p.value()?;
     p.skip_ws();
     if p.pos != p.bytes.len() {
-        return Err(format!("trailing data at byte {}", p.pos));
+        return Err(format!("trailing data at byte {}", p.pos).into());
     }
     Ok(value)
 }
@@ -168,6 +218,8 @@ pub fn parse(input: &str) -> Result<Json, String> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -181,38 +233,49 @@ impl Parser<'_> {
         self.bytes.get(self.pos).copied()
     }
 
-    fn expect(&mut self, b: u8) -> Result<(), String> {
+    fn expect(&mut self, b: u8) -> Result<(), JsonError> {
         if self.peek() == Some(b) {
             self.pos += 1;
             Ok(())
         } else {
-            Err(format!("expected '{}' at byte {}", b as char, self.pos))
+            Err(format!("expected '{}' at byte {}", b as char, self.pos).into())
         }
     }
 
-    fn literal(&mut self, word: &str, value: Json) -> Result<Json, String> {
+    fn literal(&mut self, word: &str, value: Json) -> Result<Json, JsonError> {
         if self.bytes[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
             Ok(value)
         } else {
-            Err(format!("invalid literal at byte {}", self.pos))
+            Err(format!("invalid literal at byte {}", self.pos).into())
         }
     }
 
-    fn value(&mut self) -> Result<Json, String> {
+    fn value(&mut self) -> Result<Json, JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(JsonError::TooDeep { at: self.pos });
+                }
+                self.depth += 1;
+                let value = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                value
+            }
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'n') => self.literal("null", Json::Null),
             Some(b'-' | b'0'..=b'9') => self.number(),
-            _ => Err(format!("unexpected input at byte {}", self.pos)),
+            _ => Err(format!("unexpected input at byte {}", self.pos).into()),
         }
     }
 
-    fn object(&mut self) -> Result<Json, String> {
+    fn object(&mut self) -> Result<Json, JsonError> {
         self.expect(b'{')?;
         let mut members = Vec::new();
         self.skip_ws();
@@ -234,12 +297,12 @@ impl Parser<'_> {
                     self.pos += 1;
                     return Ok(Json::Obj(members));
                 }
-                _ => return Err(format!("expected ',' or '}}' at byte {}", self.pos)),
+                _ => return Err(format!("expected ',' or '}}' at byte {}", self.pos).into()),
             }
         }
     }
 
-    fn array(&mut self) -> Result<Json, String> {
+    fn array(&mut self) -> Result<Json, JsonError> {
         self.expect(b'[')?;
         let mut items = Vec::new();
         self.skip_ws();
@@ -257,17 +320,17 @@ impl Parser<'_> {
                     self.pos += 1;
                     return Ok(Json::Arr(items));
                 }
-                _ => return Err(format!("expected ',' or ']' at byte {}", self.pos)),
+                _ => return Err(format!("expected ',' or ']' at byte {}", self.pos).into()),
             }
         }
     }
 
-    fn string(&mut self) -> Result<String, String> {
+    fn string(&mut self) -> Result<String, JsonError> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
             match self.peek() {
-                None => return Err("unterminated string".to_string()),
+                None => return Err("unterminated string".into()),
                 Some(b'"') => {
                     self.pos += 1;
                     return Ok(out);
@@ -289,12 +352,12 @@ impl Parser<'_> {
                                 .get(self.pos + 1..self.pos + 5)
                                 .and_then(|h| std::str::from_utf8(h).ok())
                                 .ok_or("truncated \\u escape")?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| "invalid \\u escape".to_string())?;
+                            let code =
+                                u32::from_str_radix(hex, 16).map_err(|_| "invalid \\u escape")?;
                             out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
                             self.pos += 4;
                         }
-                        _ => return Err(format!("invalid escape at byte {}", self.pos)),
+                        _ => return Err(format!("invalid escape at byte {}", self.pos).into()),
                     }
                     self.pos += 1;
                 }
@@ -311,7 +374,7 @@ impl Parser<'_> {
         }
     }
 
-    fn number(&mut self) -> Result<Json, String> {
+    fn number(&mut self) -> Result<Json, JsonError> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
@@ -335,7 +398,7 @@ impl Parser<'_> {
         }
         text.parse::<f64>()
             .map(Json::Float)
-            .map_err(|_| format!("invalid number at byte {start}"))
+            .map_err(|_| format!("invalid number at byte {start}").into())
     }
 }
 
@@ -370,6 +433,30 @@ mod tests {
         ] {
             assert!(parse(bad).is_err(), "accepted {bad:?}");
         }
+    }
+
+    #[test]
+    fn nesting_is_capped() {
+        let nested = |open: &str, close: &str, levels: usize| {
+            format!("{}0{}", open.repeat(levels), close.repeat(levels))
+        };
+        for (open, close) in [("[", "]"), ("{\"a\":", "}")] {
+            let at_cap = nested(open, close, MAX_DEPTH);
+            assert!(parse(&at_cap).is_ok(), "{MAX_DEPTH} levels of {open}");
+            let past = nested(open, close, MAX_DEPTH + 1);
+            assert_eq!(
+                parse(&past),
+                Err(JsonError::TooDeep {
+                    at: MAX_DEPTH * open.len()
+                })
+            );
+        }
+        // Far past the cap, the parser returns instead of overflowing.
+        let hostile = nested("[", "]", 300_000);
+        assert_eq!(
+            parse(&hostile).unwrap_err().to_string(),
+            format!("nested deeper than {MAX_DEPTH} levels at byte {MAX_DEPTH}")
+        );
     }
 
     #[test]
