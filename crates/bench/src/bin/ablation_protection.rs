@@ -18,7 +18,7 @@ fn main() {
     let opts = HarnessOpts::from_args();
     let budgets = [0.08, 0.16, 0.24];
     let mut rows = Vec::new();
-    for name in ["mm", "lud", "nw"] {
+    for name in opts.names_in(&["mm", "lud", "nw"]) {
         let w = by_name(name, opts.scale).expect("known benchmark");
         let a = analyze_workload(&w);
         let trace = a.golden().trace.as_ref().expect("traced");

@@ -106,10 +106,7 @@ fn main() {
     let mut rows = Vec::new();
     let mut total = Tally::default();
     let mut wall_ms = 0.0;
-    for name in TARGETS {
-        if opts.only.as_deref().is_some_and(|only| only != name) {
-            continue;
-        }
+    for name in opts.names_in(&TARGETS) {
         let spec = format!("{name}:{scale}");
         let dir = scratch.join(name);
         std::fs::create_dir_all(&dir).expect("scratch dir");

@@ -7,7 +7,7 @@ use epvf_workloads::by_name;
 
 fn main() {
     let opts = HarnessOpts::from_args();
-    for name in ["nw", "lud"] {
+    for name in opts.names_in(&["nw", "lud"]) {
         let w = by_name(name, opts.scale).expect("known benchmark");
         let a = analyze_workload(&w);
         let trace = a.golden().trace.as_ref().expect("traced");

@@ -23,12 +23,7 @@ fn main() {
     let names = ["mm", "pathfinder", "hotspot", "lud", "nw"];
     let mut rows = Vec::new();
     let (mut base_v, mut hot_v, mut epvf_v) = (Vec::new(), Vec::new(), Vec::new());
-    for name in names {
-        if let Some(only) = &opts.only {
-            if only != name {
-                continue;
-            }
-        }
+    for name in opts.names_in(&names) {
         let w = by_name(name, opts.scale).expect("known benchmark");
         // Evaluation uses a *different input* than the one that produced
         // the ePVF ranking, as in the paper ("we run the fault injection

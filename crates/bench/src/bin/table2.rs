@@ -7,11 +7,8 @@ use epvf_workloads::extended_suite;
 fn main() {
     let opts = HarnessOpts::from_args();
     // The paper's Table II includes kmeans (absent from its Table IV), so
-    // this harness defaults to the extended suite.
-    let workloads = match &opts.only {
-        Some(_) => opts.workloads(),
-        None => extended_suite(opts.scale),
-    };
+    // this harness runs the extended suite.
+    let workloads = opts.workloads_in(extended_suite(opts.scale));
     let mut rows = Vec::new();
     for w in &workloads {
         let a = analyze_workload(w);

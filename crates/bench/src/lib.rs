@@ -155,15 +155,38 @@ impl HarnessOpts {
         cfg
     }
 
-    /// The workload set selected by these options.
+    /// The Table IV suite, narrowed by `--bench` as
+    /// [`Self::names_in`] does.
     pub fn workloads(&self) -> Vec<Workload> {
-        let all = suite(self.scale);
-        match &self.only {
-            Some(name) => all
-                .into_iter()
-                .filter(|w| w.name == name.as_str())
-                .collect(),
-            None => all,
+        self.workloads_in(suite(self.scale))
+    }
+
+    /// `all`, narrowed by `--bench` as [`Self::names_in`] does.
+    pub fn workloads_in(&self, all: Vec<Workload>) -> Vec<Workload> {
+        let names: Vec<&str> = all.iter().map(|w| w.name).collect();
+        let keep = self.names_in(&names);
+        all.into_iter().filter(|w| keep.contains(&w.name)).collect()
+    }
+
+    /// `names`, the programs a harness runs, narrowed by `--bench`: every
+    /// one without it, else the one it spells ignoring ASCII case (so
+    /// `lavamd`, which `epvf` also takes, names `lavaMD`). Exits 2,
+    /// listing `names`, when it spells none of them.
+    pub fn names_in<'a>(&self, names: &[&'a str]) -> Vec<&'a str> {
+        self.select(names).unwrap_or_else(|e| die(&e))
+    }
+
+    /// [`Self::names_in`] with the error returned instead of exiting.
+    fn select<'a>(&self, names: &[&'a str]) -> Result<Vec<&'a str>, String> {
+        let Some(name) = &self.only else {
+            return Ok(names.to_vec());
+        };
+        match names.iter().find(|n| n.eq_ignore_ascii_case(name)) {
+            Some(&n) => Ok(vec![n]),
+            None => Err(format!(
+                "--bench {name} names none of this harness's programs: {}",
+                names.join(", ")
+            )),
         }
     }
 }
@@ -323,7 +346,7 @@ pub fn pct_ci(x: f64, ci: (f64, f64)) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use epvf_workloads::mm;
+    use epvf_workloads::{extended_suite, mm};
 
     #[test]
     fn analyze_workload_end_to_end() {
@@ -351,5 +374,31 @@ mod tests {
         assert_eq!(o.runs, 1000);
         assert!(o.only.is_none());
         assert_eq!(o.workloads().len(), 10);
+    }
+
+    #[test]
+    fn bench_names_resolve_against_the_harness_programs() {
+        let only = |name: &str| HarnessOpts {
+            scale: Scale::Tiny,
+            only: Some(name.into()),
+            ..HarnessOpts::default()
+        };
+        let names =
+            |all: Vec<Workload>| -> Vec<&'static str> { all.iter().map(|w| w.name).collect() };
+        let (table4, table2) = (
+            names(suite(Scale::Tiny)),
+            names(extended_suite(Scale::Tiny)),
+        );
+        assert_eq!(only("lavamd").select(&table4), Ok(vec!["lavaMD"]));
+        assert_eq!(only("lavaMD").select(&table4), Ok(vec!["lavaMD"]));
+        assert_eq!(only("kmeans").select(&table2), Ok(vec!["kmeans"]));
+        assert_eq!(only("nw").select(&["nw", "lud"]), Ok(vec!["nw"]));
+        for (name, all) in [("kmeans", &table4), ("nosuch", &table2)] {
+            let err = only(name).select(all).unwrap_err();
+            assert!(err.contains(name) && err.contains("lavaMD, bfs"), "{err}");
+        }
+        assert_eq!(HarnessOpts::default().select(&table2), Ok(table2.clone()));
+        let lavamd = only("lavamd").workloads_in(suite(Scale::Tiny));
+        assert_eq!(names(lavamd), ["lavaMD"]);
     }
 }

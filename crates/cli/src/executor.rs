@@ -14,19 +14,21 @@
 //! - [`launch`] runs `S` concurrent `epvf shard` workers under the
 //!   fault-tolerant supervisor, for `epvf run-sharded`.
 //! - [`merge_wals`] folds the shard WALs back into one `CampaignResult`,
-//!   and [`report`] checks and renders it: the same summary bytes as a
-//!   single-process `epvf inject` of the whole campaign.
+//!   which renders the same summary bytes as a single-process `epvf
+//!   inject` of the whole campaign.
 //!
 //! The `shard`, `merge`, and `run-sharded` commands are thin front ends
 //! over those jobs and live here too.
 
-use crate::{flag_value, parse_inject_opts, resolve, summary, CliError, InjectOpts, Target};
+use crate::{
+    flag_value, parse_inject_opts, read_text, resolve, summary, CliError, InjectOpts, Target,
+};
 use epvf_core::{analyze, EpvfConfig, EpvfResult};
 use epvf_interp::InjectionSpec;
 use epvf_llfi::{
-    read_wal_fingerprint, Campaign, CampaignAggregate, CampaignConfig, CampaignKey, CampaignResult,
-    ChaosConfig, Draw, FailureKind, InjOutcome, RunSession, ShardOutcomes, ShardPlan, ShardSpec,
-    SupervisorConfig, SupervisorEvent, SupervisorReport, WalSink,
+    read_wal_fingerprint, Campaign, CampaignConfig, CampaignKey, CampaignResult, ChaosConfig, Draw,
+    FailureKind, InjOutcome, RunSession, ShardOutcomes, ShardPlan, ShardSpec, SupervisorConfig,
+    SupervisorEvent, SupervisorReport, WalSink,
 };
 use epvf_telemetry::{add, Ctr, MetricsReport, MetricsSnapshot};
 use epvf_workloads::Workload;
@@ -372,23 +374,6 @@ fn merge_wals(
     Ok((fi, 0))
 }
 
-/// Check a campaign result against the aggregate algebra's conservation
-/// laws and render its `epvf inject` summary from an analysis of the
-/// golden trace. Returns the summary and the aggregate.
-fn report(
-    label: &str,
-    seed: u64,
-    campaign: &Campaign<'_>,
-    fi: &CampaignResult,
-) -> Result<(String, CampaignAggregate), CliError> {
-    let res = analyze_golden(campaign)?;
-    let agg = CampaignAggregate::from_result(fi, campaign.sites(), Some(&res.crash_map));
-    agg.check()
-        .map_err(|e| CliError::campaign(format!("merged aggregate inconsistent: {e}")))?;
-    let text = summary::inject_summary(label, seed, campaign, &res, fi);
-    Ok((text, agg))
-}
-
 /// Pull `--index I` and `--of S` out of the raw argument list, returning
 /// the validated shard spec plus the remaining arguments.
 fn extract_shard_spec(rest: &[String]) -> Result<(ShardSpec, Vec<String>), CliError> {
@@ -485,8 +470,11 @@ pub(crate) fn cmd_merge(t: Target, rest: &[String]) -> Result<(), CliError> {
     let campaign = build_campaign(&t, config, &opts)?;
     let specs = campaign.draw_specs(opts.runs, opts.seed);
     let (fi, _) = merge_wals(&campaign, &specs, &wals, None)?;
-    let (text, _) = report(&t.label, opts.seed, &campaign, &fi)?;
-    print!("{text}");
+    let res = analyze_golden(&campaign)?;
+    print!(
+        "{}",
+        summary::inject_summary(&t.label, opts.seed, &campaign, &res, &fi)
+    );
 
     if !metrics_in.is_empty() {
         let merged = merge_metrics_files(&metrics_in)?;
@@ -526,8 +514,7 @@ pub(crate) fn cmd_merge(t: Target, rest: &[String]) -> Result<(), CliError> {
 fn merge_metrics_files(files: &[PathBuf]) -> Result<MetricsSnapshot, CliError> {
     let mut merged = MetricsSnapshot::default();
     for file in files {
-        let text = std::fs::read_to_string(file)
-            .map_err(|e| CliError::io(format!("reading {}: {e}", file.display())))?;
+        let text = read_text(file)?;
         let mut parsed = 0usize;
         for line in text.lines().filter(|l| !l.trim().is_empty()) {
             let report = MetricsReport::parse(line)
@@ -648,10 +635,13 @@ pub(crate) fn cmd_run_sharded(rest: &[String]) -> Result<(), CliError> {
     }
     let (fi, missing, failed) = merged?;
 
-    let (text, agg) = report(&t.label, opts.seed, &campaign, &fi)?;
-    print!("{text}");
+    let res = analyze_golden(&campaign)?;
+    print!(
+        "{}",
+        summary::inject_summary(&t.label, opts.seed, &campaign, &res, &fi)
+    );
     if let Some(path) = &sup.counters_out {
-        write_class_counters(path, &agg)?;
+        write_class_counters(path, &fi)?;
     }
     if failed.is_empty() {
         return summary::finish_campaign(&t.label, &campaign, &fi, None, opts.max_unsound);
@@ -677,13 +667,21 @@ pub(crate) fn cmd_run_sharded(rest: &[String]) -> Result<(), CliError> {
 /// recovered runs, but the WAL union *is* the campaign — so these
 /// counters match a single-process run byte-for-byte, which is exactly
 /// what the chaos harness diffs.
-fn write_class_counters(path: &Path, agg: &CampaignAggregate) -> Result<(), CliError> {
+fn write_class_counters(path: &Path, fi: &CampaignResult) -> Result<(), CliError> {
     let mut snap = MetricsSnapshot::default();
     snap.counters
-        .insert("llfi.campaign.runs_total".into(), agg.n);
-    for (name, &count) in CampaignAggregate::CLASS_NAMES.iter().zip(&agg.classes) {
-        snap.counters
-            .insert(format!("llfi.campaign.runs_{name}"), count);
+        .insert(Ctr::CampaignRunsTotal.def().name.into(), fi.n() as u64);
+    for class in [
+        Ctr::CampaignRunsBenign,
+        Ctr::CampaignRunsSdc,
+        Ctr::CampaignRunsCrash,
+        Ctr::CampaignRunsHang,
+        Ctr::CampaignRunsDetected,
+        Ctr::CampaignRunsTimedOut,
+        Ctr::CampaignRunsQuarantined,
+    ] {
+        let count = fi.count(|o| o.counter() == class);
+        snap.counters.insert(class.def().name.into(), count as u64);
     }
     MetricsReport::new(snap)
         .with_meta("tool", "epvf")

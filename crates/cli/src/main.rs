@@ -114,6 +114,20 @@ impl CliError {
     }
 }
 
+/// Read a text input file. Bytes that are not UTF-8 make the file
+/// malformed input (exit 4), like any other parse failure; a missing or
+/// unreadable file is an I/O failure (exit 6).
+fn read_text(path: impl AsRef<std::path::Path>) -> Result<String, CliError> {
+    let path = path.as_ref();
+    std::fs::read_to_string(path).map_err(|e| {
+        let msg = format!("reading {}: {e}", path.display());
+        match e.kind() {
+            std::io::ErrorKind::InvalidData => CliError::input(msg),
+            _ => CliError::io(msg),
+        }
+    })
+}
+
 /// Map a [`WalError`] to the right CLI class: filesystem problems are
 /// I/O, everything else means the file's *content* is unusable.
 impl From<WalError> for CliError {
@@ -230,8 +244,16 @@ fn cmd_metrics_check(args: &[String]) -> Result<(), CliError> {
     }
     let mut bad = 0usize;
     for file in files {
-        let text = std::fs::read_to_string(file)
-            .map_err(|e| CliError::io(format!("reading {file}: {e}")))?;
+        let text = match read_text(file) {
+            Ok(text) => text,
+            // A file that is not UTF-8 is one more malformed document.
+            Err(CliError::Input(_)) => {
+                eprintln!("{file}: schema error: not valid UTF-8");
+                bad += 1;
+                continue;
+            }
+            Err(e) => return Err(e),
+        };
         for (lineno, line) in text.lines().enumerate() {
             if line.trim().is_empty() {
                 continue;
@@ -276,8 +298,7 @@ fn cmd_metrics_check(args: &[String]) -> Result<(), CliError> {
 /// Load the single metrics document a `--diff-counters` operand must
 /// contain.
 fn load_metrics(file: &str) -> Result<MetricsReport, CliError> {
-    let text =
-        std::fs::read_to_string(file).map_err(|e| CliError::io(format!("reading {file}: {e}")))?;
+    let text = read_text(file)?;
     let mut lines = text.lines().filter(|l| !l.trim().is_empty());
     let line = lines
         .next()
@@ -498,8 +519,7 @@ fn resolve(spec: &str) -> Result<Target, CliError> {
         });
     }
     if std::path::Path::new(spec).exists() {
-        let text = std::fs::read_to_string(spec)
-            .map_err(|e| CliError::io(format!("reading {spec}: {e}")))?;
+        let text = read_text(spec)?;
         let module =
             parse_module(&text).map_err(|e| CliError::input(format!("parsing {spec}: {e}")))?;
         return Ok(Target {
@@ -925,7 +945,13 @@ fn cmd_oracle(rest: &[String]) -> Result<(), CliError> {
     let mut it = rest.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--workload" => target = Some(flag_value(&mut it, a)?),
+            "--workload" => {
+                let name: String = flag_value(&mut it, a)?;
+                if target.is_some() {
+                    return Err(stray(&name));
+                }
+                target = Some(name);
+            }
             "--limit" => limit = flag_value(&mut it, a)?,
             "--max-repros" => max_repros = flag_value(&mut it, a)?,
             "--repro-dir" => repro_dir = Some(flag_value(&mut it, a)?),
@@ -947,13 +973,13 @@ fn cmd_oracle(rest: &[String]) -> Result<(), CliError> {
             }
             "--threads" => config.threads = flag_value::<usize>(&mut it, a)?.max(1),
             flag if flag.starts_with("--") => return Err(stray(flag)),
+            positional if target.is_some() => return Err(stray(positional)),
             positional => target = Some(positional.to_string()),
         }
     }
 
     if let Some(path) = replay {
-        let text = std::fs::read_to_string(&path)
-            .map_err(|e| CliError::io(format!("reading {path}: {e}")))?;
+        let text = read_text(&path)?;
         let repro = parse_repro(&text).map_err(CliError::input)?;
         let outcome = replay_repro(&repro).map_err(CliError::campaign)?;
         let observed = outcome_label(outcome);

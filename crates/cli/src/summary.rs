@@ -9,7 +9,7 @@
 
 use crate::CliError;
 use epvf_core::EpvfResult;
-use epvf_llfi::{precision_study, recall_study, Campaign, CampaignResult};
+use epvf_llfi::{precision_study, recall_study, Campaign, CampaignResult, InjOutcome};
 use std::fmt::Write;
 
 /// Render the `epvf inject` summary block for a finished campaign.
@@ -106,19 +106,18 @@ pub(crate) fn shard_summary(
     if model_name != epvf_core::DEFAULT_MODEL {
         let _ = writeln!(out, "model     : {model_name}");
     }
-    let agg = epvf_llfi::CampaignAggregate::from_result(fi, campaign.sites(), None);
     let _ = writeln!(
         out,
         "outcomes  : benign {}  sdc {}  crash {}  hang {}  detected {}  timed-out {}  quarantined {}",
-        agg.classes[0],
-        agg.classes[1],
-        agg.classes[2],
-        agg.classes[3],
-        agg.classes[4],
-        agg.classes[5],
-        agg.classes[6],
+        fi.count(|o| o == InjOutcome::Benign),
+        fi.count(|o| o == InjOutcome::Sdc),
+        fi.count(InjOutcome::is_crash),
+        fi.count(|o| o == InjOutcome::Hang),
+        fi.count(|o| o == InjOutcome::Detected),
+        fi.count(|o| matches!(o, InjOutcome::TimedOut(_))),
+        fi.count(|o| o == InjOutcome::Quarantined),
     );
-    let [sf, a, mma, ae] = agg.crash_kinds;
+    let [sf, a, mma, ae] = fi.crash_kind_counts();
     let _ = writeln!(out, "crashes   : SF {sf}  A {a}  MMA {mma}  AE {ae}");
     out
 }

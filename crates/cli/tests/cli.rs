@@ -136,8 +136,87 @@ fn stray_arguments_are_usage_errors() {
             "unexpected argument `0.3`",
         ),
         (&["serve", "--socket", "x"][..], "unknown command `serve`"),
+        (
+            &["oracle", "lud:tiny", "pathfinder:tiny", "--limit", "50"][..],
+            "unexpected argument `pathfinder:tiny`",
+        ),
+        (
+            &[
+                "oracle",
+                "--workload",
+                "lud:tiny",
+                "pathfinder:tiny",
+                "--limit",
+                "50",
+            ][..],
+            "unexpected argument `pathfinder:tiny`",
+        ),
     ] {
         let stderr = usage_error(args);
         assert!(stderr.contains(message), "args {args:?}: {stderr}");
     }
+}
+
+/// A file whose bytes are not UTF-8 is malformed input: each command
+/// exits as it does on any other file it cannot parse (4, or 7 with a
+/// `schema error` from `metrics-check`, which goes on to the next file).
+/// Only a file that cannot be read at all is an I/O failure (exit 6).
+#[test]
+fn non_utf8_files_are_malformed_input() {
+    let dir = std::env::temp_dir().join(format!("epvf-cli-utf8-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    let path = |name: &str| dir.join(name).to_str().expect("utf8").to_owned();
+    let (bad, good, wal) = (path("bad.txt"), path("good.json"), path("lud.wal"));
+    std::fs::write(&bad, b"define \xff\n").expect("write");
+    std::fs::write(
+        &good,
+        r#"{"schema":"epvf-metrics","version":1,"meta":{},"counters":{},"timers":{}}"#,
+    )
+    .expect("write");
+    let (_, stderr, ok) = epvf(&["inject", "lud:tiny", "20", "7", "--wal", &wal]);
+    assert!(ok, "{stderr}");
+    let missing = path("missing.repro");
+    for (args, code, in_stderr, in_stdout) in [
+        (vec!["analyze", &bad], 4, "valid UTF-8", ""),
+        (vec!["oracle", "--replay", &bad], 4, "valid UTF-8", ""),
+        (
+            vec!["metrics-check", &bad, &good],
+            7,
+            "schema error",
+            "good.json: ok",
+        ),
+        (
+            vec!["metrics-check", "--diff-counters", "", &bad, &good],
+            4,
+            "valid UTF-8",
+            "",
+        ),
+        (
+            vec![
+                "merge",
+                "lud:tiny",
+                "20",
+                "7",
+                "--wal",
+                &wal,
+                "--metrics-in",
+                &bad,
+            ],
+            4,
+            "valid UTF-8",
+            "",
+        ),
+        (vec!["oracle", "--replay", &missing], 6, "reading", ""),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_epvf"))
+            .args(&args)
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert_eq!(out.status.code(), Some(code), "args {args:?}: {stderr}");
+        assert!(stderr.contains(in_stderr), "args {args:?}: {stderr}");
+        assert!(stdout.contains(in_stdout), "args {args:?}: {stdout}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }

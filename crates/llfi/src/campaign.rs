@@ -59,7 +59,7 @@ impl InjOutcome {
     /// The outcome-class counter this classification lands in. The seven
     /// classes partition `llfi.campaign.runs_total` — the conservation law
     /// `epvf metrics-check` enforces.
-    pub(crate) fn counter(self) -> Ctr {
+    pub fn counter(self) -> Ctr {
         match self {
             InjOutcome::Benign => Ctr::CampaignRunsBenign,
             InjOutcome::Sdc => Ctr::CampaignRunsSdc,
@@ -72,30 +72,13 @@ impl InjOutcome {
     }
 }
 
-/// How completed-run outputs are compared against the golden run when
-/// classifying SDC vs benign.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum OutputCompare {
-    /// Compare the printed form (floats at six significant digits) — what
-    /// the paper's toolchain effectively does: Rodinia prints results with
-    /// limited precision and LLFI diffs the output files.
-    #[default]
-    Printed,
-    /// Bit-exact comparison (strictest possible SDC definition).
-    Exact,
-}
-
 /// Campaign options.
 #[derive(Debug, Clone, Copy)]
 pub struct CampaignConfig {
     /// Interpreter/memory configuration for the injected runs.
     pub exec: ExecConfig,
-    /// Hang threshold as a multiple of the golden dynamic-instruction count.
-    pub hang_multiplier: u64,
     /// Worker threads (1 = fully serial).
     pub threads: usize,
-    /// SDC comparison semantics.
-    pub compare: OutputCompare,
     /// Checkpoint spacing in dynamic instructions for the replay engine:
     /// injected runs resume from the nearest checkpoint at or before their
     /// injection point instead of re-executing the prefix.
@@ -137,9 +120,7 @@ impl Default for CampaignConfig {
     fn default() -> Self {
         CampaignConfig {
             exec: ExecConfig::default(),
-            hang_multiplier: 10,
             threads: std::thread::available_parallelism().map_or(4, |n| n.get()),
-            compare: OutputCompare::default(),
             ckpt_interval: CampaignConfig::CKPT_AUTO,
             retries: 1,
             run_fuel: None,
@@ -483,14 +464,14 @@ impl<'m> Campaign<'m> {
     }
 
     /// Interpreter configuration for injected runs: trace off, hang budget
-    /// scaled from the golden run.
+    /// ten times the golden run's length (plus slack for tiny programs).
     fn injected_exec(&self) -> ExecConfig {
         ExecConfig {
             record_trace: false,
             max_dyn_insts: self
                 .golden
                 .dyn_insts
-                .saturating_mul(self.config.hang_multiplier)
+                .saturating_mul(10)
                 .saturating_add(10_000),
             // Supervision watchdogs apply to injected runs only; the
             // golden run executes un-fuel-limited (it must complete for
@@ -556,24 +537,18 @@ impl<'m> Campaign<'m> {
         }
     }
 
-    /// Classify a finished run against the golden output.
+    /// Classify a finished run against the golden output. Outputs are
+    /// compared in printed form (floats at six significant digits), as
+    /// the paper's toolchain does: Rodinia prints results with limited
+    /// precision and LLFI diffs the output files.
     pub fn classify(&self, res: &RunResult) -> InjOutcome {
         match res.outcome {
             Outcome::Crashed { kind, .. } => InjOutcome::Crash(kind),
             Outcome::Hang => InjOutcome::Hang,
             Outcome::Detected => InjOutcome::Detected,
             Outcome::TimedOut(kind) => InjOutcome::TimedOut(kind),
-            Outcome::Completed => {
-                let matches = match self.config.compare {
-                    OutputCompare::Printed => res.outputs_match_printed(&self.golden),
-                    OutputCompare::Exact => res.outputs == self.golden.outputs,
-                };
-                if matches {
-                    InjOutcome::Benign
-                } else {
-                    InjOutcome::Sdc
-                }
-            }
+            Outcome::Completed if res.outputs_match_printed(&self.golden) => InjOutcome::Benign,
+            Outcome::Completed => InjOutcome::Sdc,
         }
     }
 

@@ -54,14 +54,13 @@ pub use accuracy::{
     precision_study, predicted_crash_specs, recall_study, PrecisionReport, RecallReport,
 };
 pub use campaign::{
-    Campaign, CampaignConfig, CampaignError, CampaignResult, InjOutcome, OutputCompare,
-    QuarantineRecord,
+    Campaign, CampaignConfig, CampaignError, CampaignResult, InjOutcome, QuarantineRecord,
 };
 pub use isolate::RunSession;
 pub use sampler::{
     AdaptiveSampler, RateEstimate, RoundInfo, SampledCampaign, SamplerConfig, StratumReport,
 };
-pub use shard::{CampaignAggregate, MergeError, ShardOutcomes, ShardSpec, StratumTally};
+pub use shard::{MergeError, ShardOutcomes, ShardSpec};
 pub use site::{injectable_operand, InjectionSite, SiteTable};
 pub use stats::{ci95, clopper_pearson95, clopper_pearson_f, geomean, mean, wilson95_f};
 pub use supervisor::{

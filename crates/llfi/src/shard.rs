@@ -1,7 +1,6 @@
 //! Campaign sharding: deterministic partition of a campaign's spec list
-//! across independent OS processes, and the merge algebra that folds the
-//! shards' outcomes back into an aggregate byte-identical to the
-//! single-process run.
+//! across independent OS processes, and the merge that folds the shards'
+//! outcomes back into a result byte-identical to the single-process run.
 //!
 //! A campaign is pinned by its fingerprint (module text, entry, args, the
 //! seeded spec list, and the fault model — see [`CampaignKey`](crate::CampaignKey)),
@@ -15,25 +14,14 @@
 //! [`CampaignResult`] equals the single-process one exactly; the summary,
 //! telemetry outcome counters, and confusion matrix follow.
 //!
-//! Two layers of algebra live here:
-//!
-//! - [`ShardOutcomes`]: the raw partial function `global index → (spec,
-//!   outcome)`. Merging is a disjoint-union (duplicate indices must agree);
-//!   [`ShardOutcomes::into_result`] checks the union is total over the spec
-//!   list and re-derives the [`CampaignResult`].
-//! - [`CampaignAggregate`]: the order-insensitive statistics (outcome-class
-//!   counts, crash-kind cells, recall confusion cells, per-stratum tallies).
-//!   Its [`merge`](CampaignAggregate::merge) is associative and commutative
-//!   with [`CampaignAggregate::empty`] as identity, mirroring the telemetry
-//!   snapshot algebra — the property suite in `epvf-oracle` exercises both
-//!   laws plus shard-count invariance over the generated-program corpus.
+//! [`ShardOutcomes`] is the partial function `global index → (spec,
+//! outcome)`. Merging is a disjoint union (duplicate indices must agree);
+//! [`ShardOutcomes::into_result`] checks the union is total over the spec
+//! list and re-derives the [`CampaignResult`].
 
-use crate::accuracy::{recall_study, RecallReport};
 use crate::campaign::{CampaignResult, InjOutcome};
-use crate::site::SiteTable;
 use crate::wal::RecoveredWal;
-use epvf_core::{CrashMap, SiteClass};
-use epvf_interp::{CrashKind, InjectionSpec};
+use epvf_interp::InjectionSpec;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -295,172 +283,6 @@ impl ShardOutcomes {
     }
 }
 
-/// Per-stratum outcome tally (the sampler's strata, aggregated).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StratumTally {
-    /// Runs landing in this stratum.
-    pub n: u64,
-    /// Of those, SDCs.
-    pub sdc: u64,
-    /// Of those, crashes (any class).
-    pub crash: u64,
-}
-
-impl StratumTally {
-    fn merge(self, other: StratumTally) -> StratumTally {
-        StratumTally {
-            n: self.n + other.n,
-            sdc: self.sdc + other.sdc,
-            crash: self.crash + other.crash,
-        }
-    }
-}
-
-/// Order-insensitive campaign statistics with an associative, commutative
-/// merge — the `CampaignResult` face of the telemetry snapshot algebra.
-///
-/// Outcome-class counts partition `n` (the conservation law the telemetry
-/// checker enforces on the matching counters); crash kinds are the paper's
-/// Table II cells `[SF, A, MMA, AE]`; the confusion cells are the recall
-/// study's `TP`/`FN` split of crashing runs against a crash map; strata
-/// tally SDC/crash per [`SiteClass`], the sampler's stratification key.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct CampaignAggregate {
-    /// Total runs aggregated.
-    pub n: u64,
-    /// Outcome-class counts in fixed order: benign, SDC, crash, hang,
-    /// detected, timed-out, quarantined. Sums to `n`.
-    pub classes: [u64; 7],
-    /// Crash-class counts `[SF, A, MMA, AE]` (Table II order).
-    pub crash_kinds: [u64; 4],
-    /// Recall confusion cells (crashing runs the crash map predicted /
-    /// missed); both zero when no crash map was supplied.
-    pub confusion: RecallReport,
-    /// Per-stratum tallies keyed by the sampler's [`SiteClass`].
-    pub strata: BTreeMap<SiteClass, StratumTally>,
-}
-
-/// Index of an outcome's class slot in [`CampaignAggregate::classes`].
-fn class_slot(o: InjOutcome) -> usize {
-    match o {
-        InjOutcome::Benign => 0,
-        InjOutcome::Sdc => 1,
-        InjOutcome::Crash(_) => 2,
-        InjOutcome::Hang => 3,
-        InjOutcome::Detected => 4,
-        InjOutcome::TimedOut(_) => 5,
-        InjOutcome::Quarantined => 6,
-    }
-}
-
-impl CampaignAggregate {
-    /// Names of the class slots, matching [`Self::classes`] order.
-    pub const CLASS_NAMES: [&'static str; 7] = [
-        "benign",
-        "sdc",
-        "crash",
-        "hang",
-        "detected",
-        "timed_out",
-        "quarantined",
-    ];
-
-    /// The merge identity: zero runs everywhere.
-    pub fn empty() -> CampaignAggregate {
-        CampaignAggregate::default()
-    }
-
-    /// Aggregate one (full or shard-local) campaign result. `sites`
-    /// classifies each run into its stratum; `crash_map` (when given)
-    /// fills the recall confusion cells.
-    pub fn from_result(
-        result: &CampaignResult,
-        sites: &SiteTable,
-        crash_map: Option<&CrashMap>,
-    ) -> CampaignAggregate {
-        let mut agg = CampaignAggregate::empty();
-        for &(spec, outcome) in &result.runs {
-            agg.n += 1;
-            agg.classes[class_slot(outcome)] += 1;
-            if let InjOutcome::Crash(kind) = outcome {
-                agg.crash_kinds[match kind {
-                    CrashKind::Segfault => 0,
-                    CrashKind::Abort => 1,
-                    CrashKind::Misaligned => 2,
-                    CrashKind::Arithmetic => 3,
-                }] += 1;
-            }
-            if let Some(site) = sites.site_of(spec.dyn_idx, spec.operand_slot) {
-                let tally = agg.strata.entry(site.class_of_bit(spec.bit)).or_default();
-                tally.n += 1;
-                tally.sdc += u64::from(outcome == InjOutcome::Sdc);
-                tally.crash += u64::from(outcome.is_crash());
-            }
-        }
-        if let Some(map) = crash_map {
-            agg.confusion = recall_study(result, map);
-        }
-        agg
-    }
-
-    /// Associative, commutative merge ([`Self::empty`] is the identity):
-    /// every cell adds.
-    pub fn merge(&self, other: &CampaignAggregate) -> CampaignAggregate {
-        let mut classes = self.classes;
-        for (a, b) in classes.iter_mut().zip(other.classes) {
-            *a += b;
-        }
-        let mut crash_kinds = self.crash_kinds;
-        for (a, b) in crash_kinds.iter_mut().zip(other.crash_kinds) {
-            *a += b;
-        }
-        let mut strata = self.strata.clone();
-        for (&k, &t) in &other.strata {
-            let slot = strata.entry(k).or_default();
-            *slot = slot.merge(t);
-        }
-        CampaignAggregate {
-            n: self.n + other.n,
-            classes,
-            crash_kinds,
-            confusion: RecallReport {
-                true_positives: self.confusion.true_positives + other.confusion.true_positives,
-                false_negatives: self.confusion.false_negatives + other.confusion.false_negatives,
-            },
-            strata,
-        }
-    }
-
-    /// Internal consistency: class counts partition `n`, crash kinds sum
-    /// to the crash class, confusion cells never exceed crashes, and
-    /// strata never count more runs than exist.
-    pub fn check(&self) -> Result<(), String> {
-        let class_sum: u64 = self.classes.iter().sum();
-        if class_sum != self.n {
-            return Err(format!("classes sum {class_sum} != n {}", self.n));
-        }
-        let kinds: u64 = self.crash_kinds.iter().sum();
-        if kinds != self.classes[2] {
-            return Err(format!(
-                "crash kinds {kinds} != crashes {}",
-                self.classes[2]
-            ));
-        }
-        let conf = (self.confusion.true_positives + self.confusion.false_negatives) as u64;
-        if conf > self.classes[2] {
-            return Err(format!("confusion {conf} > crashes {}", self.classes[2]));
-        }
-        let strata_n: u64 = self.strata.values().map(|t| t.n).sum();
-        if strata_n > self.n {
-            return Err(format!("strata n {strata_n} > n {}", self.n));
-        }
-        if self.strata.values().any(|t| t.sdc > t.n || t.crash > t.n) {
-            return Err("a stratum tallies more SDCs/crashes than runs".to_string());
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -592,40 +414,5 @@ mod tests {
             extra.into_partial_result(&specs),
             Err(MergeError::OutOfRange { index: 5, n: 3 })
         ));
-    }
-
-    #[test]
-    fn aggregate_merge_laws_hold_on_synthetic_cells() {
-        let mk = |n, classes: [u64; 7], kinds: [u64; 4], tp, fn_| CampaignAggregate {
-            n,
-            classes,
-            crash_kinds: kinds,
-            confusion: RecallReport {
-                true_positives: tp,
-                false_negatives: fn_,
-            },
-            strata: BTreeMap::new(),
-        };
-        let a = mk(10, [4, 2, 3, 1, 0, 0, 0], [2, 1, 0, 0], 2, 1);
-        let b = mk(5, [1, 1, 2, 0, 1, 0, 0], [1, 0, 1, 0], 1, 1);
-        let c = mk(3, [3, 0, 0, 0, 0, 0, 0], [0, 0, 0, 0], 0, 0);
-        let e = CampaignAggregate::empty();
-        assert_eq!(a.merge(&e), a, "right identity");
-        assert_eq!(e.merge(&a), a, "left identity");
-        assert_eq!(a.merge(&b), b.merge(&a), "commutative");
-        assert_eq!(a.merge(&b).merge(&c), a.merge(&c.merge(&b)), "associative");
-        a.check().unwrap();
-        a.merge(&b).check().unwrap();
-    }
-
-    #[test]
-    fn aggregate_check_catches_broken_cells() {
-        let mut bad = CampaignAggregate::empty();
-        bad.n = 3;
-        assert!(bad.check().is_err(), "classes must partition n");
-        bad.classes[0] = 3;
-        bad.check().unwrap();
-        bad.crash_kinds[0] = 1;
-        assert!(bad.check().is_err(), "kinds must sum to the crash class");
     }
 }
