@@ -419,10 +419,10 @@ pub(crate) fn cmd_shard(t: Target, rest: &[String]) -> Result<(), CliError> {
     let campaign = build_campaign(&t, config, &opts)?;
     let specs = campaign.draw_specs(opts.runs, opts.seed);
     let fi = run_slice(&campaign, &specs, shard, Some(wal), opts.resume)?;
-    print!(
+    out!(
         "{}",
         summary::shard_summary(&t.label, opts.seed, shard, specs.len(), &campaign, &fi)
-    );
+    )?;
     summary::finish_campaign(
         &t.label,
         &campaign,
@@ -471,10 +471,10 @@ pub(crate) fn cmd_merge(t: Target, rest: &[String]) -> Result<(), CliError> {
     let specs = campaign.draw_specs(opts.runs, opts.seed);
     let (fi, _) = merge_wals(&campaign, &specs, &wals, None)?;
     let res = analyze_golden(&campaign)?;
-    print!(
+    out!(
         "{}",
         summary::inject_summary(&t.label, opts.seed, &campaign, &res, &fi)
-    );
+    )?;
 
     if !metrics_in.is_empty() {
         let merged = merge_metrics_files(&metrics_in)?;
@@ -636,10 +636,10 @@ pub(crate) fn cmd_run_sharded(rest: &[String]) -> Result<(), CliError> {
     let (fi, missing, failed) = merged?;
 
     let res = analyze_golden(&campaign)?;
-    print!(
+    out!(
         "{}",
         summary::inject_summary(&t.label, opts.seed, &campaign, &res, &fi)
-    );
+    )?;
     if let Some(path) = &sup.counters_out {
         write_class_counters(path, &fi)?;
     }
@@ -656,7 +656,7 @@ pub(crate) fn cmd_run_sharded(rest: &[String]) -> Result<(), CliError> {
         failed_list.join(","),
         if retries == 1 { "y" } else { "ies" },
     );
-    println!("{partial_line}");
+    outln!("{partial_line}")?;
     Err(CliError::Partial(partial_line))
 }
 

@@ -39,8 +39,34 @@ use epvf_workloads::{by_name, extended_suite, Scale, Workload};
 use std::process::ExitCode;
 use std::time::Duration;
 
+/// `print!` through [`write_stdout`]: evaluates to its `Result`.
+macro_rules! out {
+    ($($arg:tt)*) => {
+        $crate::write_stdout(format_args!($($arg)*))
+    };
+}
+
+/// `println!` through [`write_stdout`]: evaluates to its `Result`.
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        $crate::write_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
 mod executor;
 mod summary;
+
+/// Write to stdout. A reader that closed it early makes this
+/// [`CliError::StdoutClosed`]; any other failure is an I/O error.
+fn write_stdout(args: std::fmt::Arguments<'_>) -> Result<(), CliError> {
+    use std::io::Write as _;
+    std::io::stdout()
+        .write_fmt(args)
+        .map_err(|e| match e.kind() {
+            std::io::ErrorKind::BrokenPipe => CliError::StdoutClosed,
+            _ => CliError::io(format!("writing stdout: {e}")),
+        })
+}
 
 /// Structured CLI failure: every variant maps to a distinct, documented
 /// exit code (see the bottom of `epvf --help`) so scripts and CI can
@@ -71,6 +97,9 @@ enum CliError {
     /// retry budget and `--allow-partial` salvaged the rest: the summary
     /// and metrics were written, but over a subset of the draw.
     Partial(String),
+    /// Exit 0, quietly — the reader of stdout closed it (`epvf … | head`),
+    /// so the command stops writing.
+    StdoutClosed,
 }
 
 impl CliError {
@@ -97,6 +126,7 @@ impl CliError {
             CliError::Metrics(_) => 7,
             CliError::Oracle(_) => 8,
             CliError::Partial(_) => 9,
+            CliError::StdoutClosed => 0,
         }
     }
 
@@ -110,6 +140,7 @@ impl CliError {
             | CliError::Metrics(m)
             | CliError::Oracle(m)
             | CliError::Partial(m) => m,
+            CliError::StdoutClosed => "stdout closed",
         }
     }
 }
@@ -179,7 +210,7 @@ fn main() -> ExitCode {
     // the whole point of graceful degradation.
     let metrics_result = write_metrics(metrics_out.as_deref(), &args);
     let result = match (result, metrics_result) {
-        (Ok(()), r) => r,
+        (Ok(()) | Err(CliError::StdoutClosed), r) => r,
         (err, _) => err,
     };
     match result {
@@ -274,11 +305,11 @@ fn cmd_metrics_check(args: &[String]) -> Result<(), CliError> {
                         eprintln!("{where_}: conservation violation: {v}");
                     }
                     if violations.is_empty() {
-                        println!(
+                        outln!(
                             "{where_}: ok ({} counters, {} timers)",
                             report.snapshot.counters.len(),
                             report.snapshot.timers.len()
-                        );
+                        )?;
                     } else {
                         bad += 1;
                     }
@@ -341,10 +372,10 @@ fn diff_counters(prefix: &str, file_a: &str, file_b: &str) -> Result<(), CliErro
             names.len()
         )))
     } else {
-        println!(
+        outln!(
             "ok: {} `{prefix}` counter(s) identical across {file_a} and {file_b}",
             names.len()
-        );
+        )?;
         Ok(())
     }
 }
@@ -543,26 +574,29 @@ fn with_target(
 
 fn cmd_list(rest: &[String]) -> Result<(), CliError> {
     positionals(rest, 0)?;
-    println!(
+    outln!(
         "{:15} {:20} {:>12} {:>9}",
-        "name", "domain", "dyn insts", "outputs"
-    );
+        "name",
+        "domain",
+        "dyn insts",
+        "outputs"
+    )?;
     for w in extended_suite(Scale::Small) {
         let g = w.golden();
-        println!(
+        outln!(
             "{:15} {:20} {:>12} {:>9}",
             w.name,
             w.domain,
             g.dyn_insts,
             g.outputs.len()
-        );
+        )?;
     }
     Ok(())
 }
 
 fn cmd_dump(t: Target, rest: &[String]) -> Result<(), CliError> {
     positionals(rest, 0)?;
-    print!("{}", t.module);
+    out!("{}", t.module)?;
     Ok(())
 }
 
@@ -571,18 +605,18 @@ fn cmd_run(t: Target, rest: &[String]) -> Result<(), CliError> {
     let r = Interpreter::new(&t.module, ExecConfig::default())
         .run(Workload::ENTRY, &t.args, None)
         .map_err(CliError::campaign)?;
-    println!("outcome      : {}", r.outcome);
-    println!("dyn IR insts : {}", r.dyn_insts);
-    println!("outputs      : {}", r.outputs.len());
+    outln!("outcome      : {}", r.outcome)?;
+    outln!("dyn IR insts : {}", r.dyn_insts)?;
+    outln!("outputs      : {}", r.outputs.len())?;
     for (bits, ty) in r.outputs.iter().zip(&r.output_tys).take(16) {
         if ty.is_float() {
-            println!("  {ty} {}", f64::from_bits(*bits));
+            outln!("  {ty} {}", f64::from_bits(*bits))?;
         } else {
-            println!("  {ty} {}", ty.sign_extend(*bits));
+            outln!("  {ty} {}", ty.sign_extend(*bits))?;
         }
     }
     if r.outputs.len() > 16 {
-        println!("  … ({} more)", r.outputs.len() - 16);
+        outln!("  … ({} more)", r.outputs.len() - 16)?;
     }
     Ok(())
 }
@@ -618,28 +652,31 @@ fn cmd_analyze(t: Target, rest: &[String]) -> Result<(), CliError> {
         None => analyze(&t.module, trace, config),
     };
     let m = &res.metrics;
-    println!("target        : {}", t.label);
-    println!("dyn IR insts  : {}", m.dyn_insts);
-    println!("DDG nodes     : {}", m.ddg_nodes);
-    println!("ACE nodes     : {}", m.ace_nodes);
-    println!("PVF           : {:.4}", m.pvf);
-    println!("ePVF          : {:.4}", m.epvf);
-    println!(
+    outln!("target        : {}", t.label)?;
+    outln!("dyn IR insts  : {}", m.dyn_insts)?;
+    outln!("DDG nodes     : {}", m.ddg_nodes)?;
+    outln!("ACE nodes     : {}", m.ace_nodes)?;
+    outln!("PVF           : {:.4}", m.pvf)?;
+    outln!("ePVF          : {:.4}", m.epvf)?;
+    outln!(
         "crash bits    : {} of {} ACE register bits",
-        m.crash_register_bits, m.ace_register_bits
-    );
-    println!("crash rate est: {:.1}%", 100.0 * m.crash_rate_estimate);
-    println!(
+        m.crash_register_bits,
+        m.ace_register_bits
+    )?;
+    outln!("crash rate est: {:.1}%", 100.0 * m.crash_rate_estimate)?;
+    outln!(
         "analysis time : {:.1} ms graph + {:.1} ms models",
         m.graph_time.as_secs_f64() * 1e3,
         m.model_time.as_secs_f64() * 1e3
-    );
+    )?;
     if let Some(cache) = &cache {
         let s = cache.stats();
-        println!(
+        outln!(
             "section cache : {} hits / {} misses of {} sections",
-            s.hits, s.misses, s.sections
-        );
+            s.hits,
+            s.misses,
+            s.sections
+        )?;
     }
     Ok(())
 }
@@ -806,10 +843,10 @@ fn cmd_inject(t: Target, rest: &[String]) -> Result<(), CliError> {
     // The summary renderer is shared with `epvf merge`: a merged N-shard
     // campaign must reproduce these bytes exactly (the differential
     // shard-equivalence suite diffs the two outputs).
-    print!(
+    out!(
         "{}",
         summary::inject_summary(&t.label, opts.seed, &campaign, &res, &fi)
-    );
+    )?;
     summary::finish_campaign(
         &t.label,
         &campaign,
@@ -852,19 +889,19 @@ fn cmd_inject_sampled(t: &Target, campaign: &Campaign, opts: &InjectOpts) -> Res
         None => campaign.run_adaptive(cfg),
     };
 
-    println!("target    : {} (sampled, seed {})", t.label, opts.seed);
+    outln!("target    : {} (sampled, seed {})", t.label, opts.seed)?;
     let model_name = campaign.model().name();
     if model_name != epvf_core::DEFAULT_MODEL {
-        println!("model     : {model_name}");
+        outln!("model     : {model_name}")?;
     }
-    println!(
+    outln!(
         "sampling  : {} of {} flips in {} round(s), {:.1}x fewer runs",
         report.executed,
         report.population,
         report.rounds,
         report.savings()
-    );
-    println!(
+    )?;
+    outln!(
         "stopping  : {} (target ci ±{:.4})",
         if report.converged {
             "converged"
@@ -874,9 +911,9 @@ fn cmd_inject_sampled(t: &Target, campaign: &Campaign, opts: &InjectOpts) -> Res
             "run cap reached"
         },
         report.target_ci
-    );
+    )?;
     for (label, est) in [("sdc", &report.sdc), ("crash", &report.crash)] {
-        println!(
+        outln!(
             "{label:9} : {:.4} ±{:.4}  wilson [{:.4}, {:.4}]  exact [{:.4}, {:.4}]",
             est.rate,
             est.half_width,
@@ -884,14 +921,19 @@ fn cmd_inject_sampled(t: &Target, campaign: &Campaign, opts: &InjectOpts) -> Res
             est.wilson.1,
             est.clopper_pearson.0,
             est.clopper_pearson.1
-        );
+        )?;
     }
-    println!(
+    outln!(
         "{:22} {:>10} {:>8} {:>6} {:>7} {:>7}",
-        "stratum", "population", "drawn", "fill", "sdc", "crash"
-    );
+        "stratum",
+        "population",
+        "drawn",
+        "fill",
+        "sdc",
+        "crash"
+    )?;
     for s in &report.strata {
-        println!(
+        outln!(
             "{:22} {:>10} {:>8} {:>5.0}% {:>7} {:>7}",
             s.class.to_string(),
             s.population,
@@ -899,7 +941,7 @@ fn cmd_inject_sampled(t: &Target, campaign: &Campaign, opts: &InjectOpts) -> Res
             100.0 * s.fill(),
             s.sdc,
             s.crash
-        );
+        )?;
     }
 
     if let Some(dir) = &opts.quarantine_dir {
@@ -908,11 +950,11 @@ fn cmd_inject_sampled(t: &Target, campaign: &Campaign, opts: &InjectOpts) -> Res
             let paths = campaign
                 .write_quarantine_repros(dir, &prefix, &report.quarantines)
                 .map_err(|e| CliError::io(format!("writing quarantine repros: {e}")))?;
-            println!(
+            outln!(
                 "quarantine: {} repro file(s) in {}",
                 paths.len(),
                 dir.display()
-            );
+            )?;
         }
     }
 
@@ -983,12 +1025,12 @@ fn cmd_oracle(rest: &[String]) -> Result<(), CliError> {
         let repro = parse_repro(&text).map_err(CliError::input)?;
         let outcome = replay_repro(&repro).map_err(CliError::campaign)?;
         let observed = outcome_label(outcome);
-        println!("repro     : {path}");
-        println!("spec      : {}", repro.spec);
-        println!("recorded  : {}", repro.observed);
-        println!("replayed  : {observed}");
+        outln!("repro     : {path}")?;
+        outln!("spec      : {}", repro.spec)?;
+        outln!("recorded  : {}", repro.observed)?;
+        outln!("replayed  : {observed}")?;
         return if observed == repro.observed {
-            println!("verdict   : reproduced");
+            outln!("verdict   : reproduced")?;
             Ok(())
         } else {
             Err(CliError::Oracle(
@@ -1014,7 +1056,7 @@ fn cmd_oracle(rest: &[String]) -> Result<(), CliError> {
     let violations = hard_invariant_scan(&campaign, &res, &gt);
 
     let [crash, sdc, benign, hang, detected, timed_out, quarantined] = gt.tally();
-    println!(
+    outln!(
         "target    : {} ({} of {} possible flips{})",
         t.label,
         gt.runs.len(),
@@ -1024,28 +1066,32 @@ fn cmd_oracle(rest: &[String]) -> Result<(), CliError> {
         } else {
             ""
         }
-    );
+    )?;
     let model_name = campaign.model().name();
     if model_name != epvf_core::DEFAULT_MODEL {
-        println!("model     : {model_name}");
+        outln!("model     : {model_name}")?;
     }
-    println!(
+    outln!(
         "outcomes  : crash {crash}  sdc {sdc}  benign {benign}  hang {hang}  detected {detected}"
-    );
+    )?;
     if timed_out + quarantined > 0 {
-        println!("supervised: timed-out {timed_out}  quarantined {quarantined}");
+        outln!("supervised: timed-out {timed_out}  quarantined {quarantined}")?;
     }
     let c = report.confusion;
-    println!(
+    outln!(
         "confusion : tp {}  fp {}  fn {}  tn {}",
-        c.tp, c.fp, c.fn_, c.tn
-    );
-    println!("recall    : {:.4}   (paper Table V: 0.89)", c.recall());
-    println!("precision : {:.4}   (paper Table V: 0.92)", c.precision());
-    println!(
+        c.tp,
+        c.fp,
+        c.fn_,
+        c.tn
+    )?;
+    outln!("recall    : {:.4}   (paper Table V: 0.89)", c.recall())?;
+    outln!("precision : {:.4}   (paper Table V: 0.92)", c.precision())?;
+    outln!(
         "disagree  : {} ({} masked-SDC)",
-        report.total_disagreements, report.masked_sdc
-    );
+        report.total_disagreements,
+        report.masked_sdc
+    )?;
     if let Some(dir) = repro_dir {
         let ctx = ReproContext {
             label: &t.label,
@@ -1061,7 +1107,7 @@ fn cmd_oracle(rest: &[String]) -> Result<(), CliError> {
             &report.disagreements,
         )
         .map_err(|e| CliError::io(format!("writing repros: {e}")))?;
-        println!("repros    : {} file(s) in {dir}", paths.len());
+        outln!("repros    : {} file(s) in {dir}", paths.len())?;
     }
     // Calibration mode: score the adaptive sampler's estimates against
     // the exhaustive table just built — the sampled rates must land
@@ -1077,7 +1123,7 @@ fn cmd_oracle(rest: &[String]) -> Result<(), CliError> {
             ..SamplerConfig::default()
         });
         let cal = calibrate(&gt, &sampled);
-        print!("{}", cal.render());
+        out!("{}", cal.render())?;
         if !cal.passed() {
             return Err(CliError::Oracle(
                 "sampled estimate fell outside its reported confidence interval".into(),
@@ -1124,8 +1170,8 @@ fn cmd_protect(t: Target, rest: &[String]) -> Result<(), CliError> {
     );
     let scores = per_instruction_scores(&t.module, trace, &res.ddg, &res.ace, &res.crash_map);
     let base = campaign.run(1000, 42);
-    println!("target      : {} (budget {:.0}%)", t.label, budget * 100.0);
-    println!("unprotected : SDC {:.1}%", 100.0 * base.sdc_rate());
+    outln!("target      : {} (budget {:.0}%)", t.label, budget * 100.0)?;
+    outln!("unprotected : SDC {:.1}%", 100.0 * base.sdc_rate())?;
     for (label, strategy) in [
         ("ePVF", RankingStrategy::Epvf),
         ("hot-path", RankingStrategy::HotPath),
@@ -1147,13 +1193,13 @@ fn cmd_protect(t: Target, rest: &[String]) -> Result<(), CliError> {
         )
         .map_err(CliError::campaign)?;
         let fi = pc.run(1000, 42);
-        println!(
+        outln!(
             "{label:11} : SDC {:.1}%  detected {:.1}%  ({} insts, {:.1}% overhead)",
             100.0 * fi.sdc_rate(),
             100.0 * fi.detected_rate(),
             plan.protected.len(),
             100.0 * plan.overhead
-        );
+        )?;
     }
     Ok(())
 }

@@ -137,11 +137,11 @@ pub(crate) fn finish_campaign(
             let paths = campaign
                 .write_quarantine_repros(dir, &prefix, &fi.quarantines)
                 .map_err(|e| CliError::io(format!("writing quarantine repros: {e}")))?;
-            println!(
+            outln!(
                 "quarantine: {} repro file(s) in {}",
                 paths.len(),
                 dir.display()
-            );
+            )?;
         }
     }
     if fi.unsound_rate() > max_unsound {

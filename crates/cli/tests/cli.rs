@@ -220,3 +220,46 @@ fn non_utf8_files_are_malformed_input() {
     }
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// A reader that closes stdout before the command writes (`epvf … |
+/// head`) ends the command quietly: exit 0, nothing on stderr, and
+/// `--metrics-out` still written. Any other stdout failure (a full
+/// device) is an I/O failure, exit 6.
+#[test]
+fn closed_stdout_ends_quietly() {
+    let dir = std::env::temp_dir().join(format!("epvf-cli-stdout-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    let metrics = dir.join("analyze.json");
+    let metrics = metrics.to_str().expect("utf8");
+    for args in [
+        vec!["dump", "mm:tiny"],
+        vec!["list"],
+        vec!["analyze", "mm:tiny"],
+        vec!["analyze", "mm:tiny", "--metrics-out", metrics],
+    ] {
+        let (reader, writer) = std::io::pipe().expect("pipe");
+        drop(reader);
+        let out = Command::new(env!("CARGO_BIN_EXE_epvf"))
+            .args(&args)
+            .stdout(writer)
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "args {args:?}: {stderr}");
+        assert!(stderr.is_empty(), "args {args:?}: {stderr}");
+    }
+    let (stdout, stderr, ok) = epvf(&["metrics-check", metrics]);
+    assert!(ok && stdout.contains(": ok"), "{stdout}{stderr}");
+
+    if let Ok(full) = std::fs::File::create("/dev/full") {
+        let out = Command::new(env!("CARGO_BIN_EXE_epvf"))
+            .args(["dump", "mm:tiny"])
+            .stdout(full)
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(6), "{stderr}");
+        assert!(stderr.contains("writing stdout"), "{stderr}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

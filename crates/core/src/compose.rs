@@ -30,7 +30,7 @@ use crate::epvf::{analyze_with, EpvfConfig, EpvfResult};
 use crate::propagation::{roots, CrashMap, CrashScope, PropSink, Root, Sweep, TouchSet};
 use crate::section_cache::{OpTarget, SectionCache, SummaryOp, SECT_VERSION};
 use epvf_ddg::{AceGraph, Ddg, NodeId, NodeKind};
-use epvf_interp::{section_runs, DynInst, Trace};
+use epvf_interp::{section_runs, DynInstRef, Trace};
 use epvf_ir::{Fnv64, Module, SectionMap};
 
 /// A `pos` entry for a node outside the current run's closure.
@@ -296,8 +296,9 @@ fn section_key(
             NodeKind::External => 2,
         });
         k.u32(node.bits);
-        k.u32(node.deps.len() as u32);
-        for &(d, kind) in &node.deps {
+        let deps = ddg.deps(n);
+        k.u32(deps.len() as u32);
+        for &(d, kind) in deps {
             k.u32(pos[d.index()]);
             k.u8(match kind {
                 epvf_ddg::EdgeKind::Data => 0,
@@ -329,7 +330,7 @@ fn hash_record(
     map: &CrashMap,
     pos: &[u32],
     n: NodeId,
-    rec: &DynInst,
+    rec: DynInstRef<'_>,
 ) {
     match rec.result {
         None => k.u8(0),
@@ -338,14 +339,15 @@ fn hash_record(
             k.u64(bits);
         }
     }
+    let deps = ddg.deps(n);
     k.u32(rec.operands.len() as u32);
     for (slot, op) in rec.operands.iter().enumerate() {
         k.u64(op.bits);
-        k.u32(crate::propagation::operand_width(module, rec, op.value));
+        k.u32(crate::propagation::operand_width(module, &rec, op.value));
         // Which dependency of `n` carries this operand's dynamic value —
         // the position-independent form of the sweep's DynValueId matching.
         let matched = op.src.and_then(|src| {
-            ddg.node(n).deps.iter().find_map(|&(d, _)| {
+            deps.iter().find_map(|&(d, _)| {
                 matches!(ddg.node(d).kind, NodeKind::Reg(dv) if dv == src).then_some(d)
             })
         });

@@ -76,7 +76,7 @@ pub fn trace_use_bits(module: &Module, trace: &Trace) -> u64 {
     let mut total = 0u64;
     for rec in trace {
         let func = &module.functions[rec.func.index()];
-        for op in &rec.operands {
+        for op in rec.operands {
             if op.src.is_some() {
                 if let epvf_ir::Value::Reg(r) = op.value {
                     total += u64::from(func.value_types[r.index()].bits());

@@ -25,7 +25,7 @@
 //! at-rest SEC-DED ECC word model with delayed error reporting.
 
 use crate::classify::OperandKind;
-use epvf_interp::{DynInst, FaultEffect, InjectionSpec, MachineFault};
+use epvf_interp::{DynInst, DynInstRef, FaultEffect, InjectionSpec, MachineFault};
 use epvf_ir::{Module, Op, StaticInstId, Type, Value};
 use std::fmt;
 use std::sync::Arc;
@@ -38,7 +38,7 @@ use std::sync::Arc;
 /// fault models. Site tables (random campaigns), the targeted precision
 /// study, and the exhaustive oracle all go through it, so their site
 /// universes can never diverge.
-pub fn injectable_operand(module: &Module, rec: &DynInst, slot: usize) -> Option<u32> {
+pub fn injectable_operand(module: &Module, rec: DynInstRef<'_>, slot: usize) -> Option<u32> {
     let op = rec.operands.get(slot)?;
     let Value::Reg(r) = op.value else { return None };
     op.src?;
@@ -108,7 +108,13 @@ pub trait FaultModel: fmt::Debug + Send + Sync {
     /// Number of injection points the model places at `(rec, slot)`, or
     /// `None` if this pair is not a site. The spec universe for the pair is
     /// `bit ∈ 0..points` (so points must fit in `u8` range, ≤ 64).
-    fn points(&self, ctx: &FaultCtx, module: &Module, rec: &DynInst, slot: usize) -> Option<u32>;
+    fn points(
+        &self,
+        ctx: &FaultCtx,
+        module: &Module,
+        rec: DynInstRef<'_>,
+        slot: usize,
+    ) -> Option<u32>;
 
     /// Lower one abstract spec to the machine-level fault the interpreter
     /// executes. `width` is the point count [`Self::points`] returned for
@@ -118,7 +124,7 @@ pub trait FaultModel: fmt::Debug + Send + Sync {
     /// Stratification kind of the operand at `(rec, slot)`. The default
     /// derives it from the operand's static type; models whose fault
     /// targets something other than the operand value override it.
-    fn operand_kind(&self, module: &Module, rec: &DynInst, slot: usize) -> OperandKind {
+    fn operand_kind(&self, module: &Module, rec: DynInstRef<'_>, slot: usize) -> OperandKind {
         match rec.operands.get(slot).map(|o| o.value) {
             Some(Value::Reg(r)) => {
                 OperandKind::of(module.functions[rec.func.index()].value_types[r.index()])
@@ -145,7 +151,13 @@ impl FaultModel for SingleBitFlip {
         DEFAULT_MODEL.to_string()
     }
 
-    fn points(&self, _ctx: &FaultCtx, module: &Module, rec: &DynInst, slot: usize) -> Option<u32> {
+    fn points(
+        &self,
+        _ctx: &FaultCtx,
+        module: &Module,
+        rec: DynInstRef<'_>,
+        slot: usize,
+    ) -> Option<u32> {
         injectable_operand(module, rec, slot)
     }
 
@@ -176,11 +188,17 @@ impl FaultModel for DestFlip {
         "dest".to_string()
     }
 
-    fn points(&self, _ctx: &FaultCtx, module: &Module, rec: &DynInst, slot: usize) -> Option<u32> {
+    fn points(
+        &self,
+        _ctx: &FaultCtx,
+        module: &Module,
+        rec: DynInstRef<'_>,
+        slot: usize,
+    ) -> Option<u32> {
         if slot != 0 {
             return None;
         }
-        Self::result_ty(module, rec).map(Type::bits)
+        Self::result_ty(module, &rec).map(Type::bits)
     }
 
     fn lower(&self, spec: InjectionSpec, _width: u32) -> MachineFault {
@@ -192,8 +210,8 @@ impl FaultModel for DestFlip {
         }
     }
 
-    fn operand_kind(&self, module: &Module, rec: &DynInst, _slot: usize) -> OperandKind {
-        Self::result_ty(module, rec).map_or(OperandKind::Int, OperandKind::of)
+    fn operand_kind(&self, module: &Module, rec: DynInstRef<'_>, _slot: usize) -> OperandKind {
+        Self::result_ty(module, &rec).map_or(OperandKind::Int, OperandKind::of)
     }
 }
 
@@ -212,7 +230,13 @@ impl FaultModel for BurstFlip {
         format!("burst:{}", self.bits)
     }
 
-    fn points(&self, _ctx: &FaultCtx, module: &Module, rec: &DynInst, slot: usize) -> Option<u32> {
+    fn points(
+        &self,
+        _ctx: &FaultCtx,
+        module: &Module,
+        rec: DynInstRef<'_>,
+        slot: usize,
+    ) -> Option<u32> {
         injectable_operand(module, rec, slot)
     }
 
@@ -246,7 +270,13 @@ impl FaultModel for InstSkip {
         false
     }
 
-    fn points(&self, ctx: &FaultCtx, _module: &Module, rec: &DynInst, slot: usize) -> Option<u32> {
+    fn points(
+        &self,
+        ctx: &FaultCtx,
+        _module: &Module,
+        rec: DynInstRef<'_>,
+        slot: usize,
+    ) -> Option<u32> {
         (slot == 0 && ctx.skippable(rec.sid)).then_some(1)
     }
 
@@ -273,7 +303,13 @@ impl FaultModel for WrongBranch {
         false
     }
 
-    fn points(&self, ctx: &FaultCtx, _module: &Module, rec: &DynInst, slot: usize) -> Option<u32> {
+    fn points(
+        &self,
+        ctx: &FaultCtx,
+        _module: &Module,
+        rec: DynInstRef<'_>,
+        slot: usize,
+    ) -> Option<u32> {
         (slot == 0 && ctx.branchy(rec.sid)).then_some(1)
     }
 
@@ -297,7 +333,13 @@ impl FaultModel for StoreAddr {
         "store-addr".to_string()
     }
 
-    fn points(&self, _ctx: &FaultCtx, _module: &Module, rec: &DynInst, slot: usize) -> Option<u32> {
+    fn points(
+        &self,
+        _ctx: &FaultCtx,
+        _module: &Module,
+        rec: DynInstRef<'_>,
+        slot: usize,
+    ) -> Option<u32> {
         (slot == 1 && rec.mem.as_ref().is_some_and(|m| m.is_store)).then_some(64)
     }
 
@@ -310,7 +352,7 @@ impl FaultModel for StoreAddr {
         }
     }
 
-    fn operand_kind(&self, _module: &Module, _rec: &DynInst, _slot: usize) -> OperandKind {
+    fn operand_kind(&self, _module: &Module, _rec: DynInstRef<'_>, _slot: usize) -> OperandKind {
         OperandKind::Ptr // the corrupted quantity is always an address
     }
 }
@@ -335,7 +377,13 @@ impl FaultModel for EccWord {
         format!("ecc:{}", self.window)
     }
 
-    fn points(&self, _ctx: &FaultCtx, _module: &Module, rec: &DynInst, slot: usize) -> Option<u32> {
+    fn points(
+        &self,
+        _ctx: &FaultCtx,
+        _module: &Module,
+        rec: DynInstRef<'_>,
+        slot: usize,
+    ) -> Option<u32> {
         let mem = rec.mem.as_ref().filter(|m| m.is_store)?;
         (slot == 0).then_some((mem.size * 8).min(64) as u32)
     }

@@ -8,7 +8,7 @@
 
 use crate::propagation::CrashMap;
 use epvf_ddg::{AceGraph, Ddg, NodeId, NodeKind};
-use epvf_interp::{DynInst, DynValueId, Trace};
+use epvf_interp::{DynInstRef, DynValueId, Trace};
 use epvf_ir::{Module, StaticInstId, Value};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -114,7 +114,7 @@ pub fn per_instruction_scores(
 /// Register-bit accounting of one dynamic instance: `(total, ACE, crash)`.
 fn instance_bits(
     module: &Module,
-    rec: &DynInst,
+    rec: DynInstRef<'_>,
     ace: &AceGraph,
     crash_map: &CrashMap,
     by_dyn: &HashMap<DynValueId, NodeId>,

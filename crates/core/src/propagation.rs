@@ -17,7 +17,7 @@
 use crate::crash_model::{check_boundary, CrashModelConfig};
 use crate::range::ValueRange;
 use epvf_ddg::{AceGraph, Ddg, EdgeKind, NodeId, NodeKind};
-use epvf_interp::{DynInst, Trace};
+use epvf_interp::{DynInst, DynInstRef, Trace};
 use epvf_ir::{BinOp, CastOp, InstIndex, Module, Op, Value};
 use serde::{Deserialize, Serialize};
 use std::collections::BinaryHeap;
@@ -370,7 +370,12 @@ fn shift_range(dest: ValueRange, delta: i128) -> ValueRange {
 /// disagreement repros can report the inverted range that produced a
 /// prediction. A returned range always contains the operand's golden-run
 /// value (the safety valve drops inversions that would not).
-pub fn operand_range(op: &Op, slot: usize, rec: &DynInst, dest: ValueRange) -> Option<ValueRange> {
+pub fn operand_range(
+    op: &Op,
+    slot: usize,
+    rec: DynInstRef<'_>,
+    dest: ValueRange,
+) -> Option<ValueRange> {
     let out = invert(op, slot, rec, dest)?;
     // Safety valve: the derived range must hold the golden operand, and so
     // must the row inverted at the golden result alone. A miss means the
@@ -396,7 +401,7 @@ pub fn operand_range(op: &Op, slot: usize, rec: &DynInst, dest: ValueRange) -> O
 /// Table III proper: the operand range that keeps the result inside
 /// `dest`, before the safety valve. Monotone in `dest`: a narrower `dest`
 /// never gives a wider range.
-fn invert(op: &Op, slot: usize, rec: &DynInst, dest: ValueRange) -> Option<ValueRange> {
+fn invert(op: &Op, slot: usize, rec: DynInstRef<'_>, dest: ValueRange) -> Option<ValueRange> {
     let opv = |i: usize| rec.operands.get(i).map(|o| o.bits).unwrap_or(0);
     let out = match op {
         // Row 1: add — Max(op) = Max(dest) − other.
@@ -597,7 +602,7 @@ pub(crate) fn roots<'a>(
     recs: std::ops::Range<u64>,
 ) -> impl Iterator<Item = Root> + 'a {
     recs.filter_map(move |idx| {
-        let mem = trace.get(idx).expect("record in range").mem.as_ref()?;
+        let mem = trace.get(idx).expect("record in range").inst.mem.as_ref()?;
         let def = ddg.def_of_record(idx)?;
         if scope == CrashScope::AceOnly && !ace.contains(def) {
             return None;
@@ -654,7 +659,7 @@ impl<'a> Sweep<'a> {
         sink.constrain_use(root.idx, addr_slot, root.range, addr_op.bits, 64);
         if addr_op.src.is_some() {
             // Find the Addr-edge dependency of the access node.
-            for &(dep, kind) in &ddg.node(root.def).deps {
+            for &(dep, kind) in ddg.deps(root.def) {
                 if kind == EdgeKind::Addr
                     && sink.tighten_node(dep, root.range, addr_op.bits, ddg.node(dep).bits.max(64))
                 {
@@ -696,7 +701,7 @@ impl<'a> Sweep<'a> {
             // store produced it (value flows through memory unchanged when
             // the accesses fully alias).
             let load_mem = rec.mem.as_ref().expect("load has access info");
-            for &(dep, kind) in &ddg.node(node).deps {
+            for &(dep, kind) in ddg.deps(node) {
                 if kind != EdgeKind::Data {
                     continue;
                 }
@@ -715,7 +720,7 @@ impl<'a> Sweep<'a> {
                 if !range.contains(val_op.bits) {
                     continue;
                 }
-                let width = operand_width(module, store_rec, val_op.value).min(ty.bits());
+                let width = operand_width(module, &store_rec, val_op.value).min(ty.bits());
                 sink.constrain_use(store_idx, 0, range, val_op.bits, width);
                 if let Some(src) = val_op.src {
                     if let Some(&src_node) = lookup_dyn(ddg, dep, src) {
@@ -736,7 +741,7 @@ impl<'a> Sweep<'a> {
             if or.is_full() {
                 continue;
             }
-            let width = operand_width(module, rec, op_rec.value);
+            let width = operand_width(module, &rec, op_rec.value);
             sink.constrain_use(rec.idx, slot, or, op_rec.bits, width);
             // The Data dependency edge for this operand.
             if let Some(src_node) = data_dep_for_slot(ddg, node, rec, slot) {
@@ -750,10 +755,14 @@ impl<'a> Sweep<'a> {
 
 /// Find the DDG node carrying the `slot`-th operand's dynamic value among
 /// the consumer's dependencies.
-fn data_dep_for_slot(ddg: &Ddg, consumer: NodeId, rec: &DynInst, slot: usize) -> Option<NodeId> {
+fn data_dep_for_slot(
+    ddg: &Ddg,
+    consumer: NodeId,
+    rec: DynInstRef<'_>,
+    slot: usize,
+) -> Option<NodeId> {
     let src = rec.operands[slot].src?;
-    ddg.node(consumer)
-        .deps
+    ddg.deps(consumer)
         .iter()
         .find_map(|&(d, _)| matches!(ddg.node(d).kind, NodeKind::Reg(dv) if dv == src).then_some(d))
 }
@@ -761,8 +770,7 @@ fn data_dep_for_slot(ddg: &Ddg, consumer: NodeId, rec: &DynInst, slot: usize) ->
 /// Find a Reg node for `src` among the deps of `store_mem_node`'s producer
 /// edges (the store's value operand).
 fn lookup_dyn(ddg: &Ddg, store_mem_node: NodeId, src: epvf_interp::DynValueId) -> Option<&NodeId> {
-    ddg.node(store_mem_node)
-        .deps
+    ddg.deps(store_mem_node)
         .iter()
         .find_map(|(d, _)| matches!(ddg.node(*d).kind, NodeKind::Reg(dv) if dv == src).then_some(d))
 }
@@ -775,12 +783,31 @@ mod lookup_table_tests {
     use epvf_interp::{DynValueId, OperandRec};
     use epvf_ir::{BinOp, CastOp, FcmpPred, FuncId, IcmpPred, StaticInstId, Type};
 
-    fn rec(operands: Vec<(u64, bool)>, result: Option<u64>) -> DynInst {
-        DynInst {
+    /// A record and its operands, owned.
+    struct Rec {
+        inst: DynInst,
+        operands: Vec<OperandRec>,
+    }
+
+    impl Rec {
+        fn view(&self) -> DynInstRef<'_> {
+            DynInstRef {
+                inst: &self.inst,
+                operands: &self.operands,
+            }
+        }
+    }
+
+    fn rec(operands: Vec<(u64, bool)>, result: Option<u64>) -> Rec {
+        let inst = DynInst {
             idx: 0,
             sid: StaticInstId(0),
             func: FuncId(0),
             result: result.map(|bits| (epvf_ir::ValueId(99), bits, DynValueId(99))),
+            mem: None,
+        };
+        Rec {
+            inst,
             operands: operands
                 .into_iter()
                 .enumerate()
@@ -794,7 +821,6 @@ mod lookup_table_tests {
                     src: is_reg.then_some(DynValueId(i as u64)),
                 })
                 .collect(),
-            mem: None,
         }
     }
 
@@ -811,10 +837,12 @@ mod lookup_table_tests {
     fn row1_add() {
         // dest = a + b, dest ∈ [100, 200], b = 30  →  a ∈ [70, 170]
         let r = rec(vec![(120, true), (30, true)], Some(150));
-        let got = operand_range(&bin(BinOp::Add), 0, &r, ValueRange::new(100, 200)).expect("some");
+        let got =
+            operand_range(&bin(BinOp::Add), 0, r.view(), ValueRange::new(100, 200)).expect("some");
         assert_eq!(got, ValueRange::new(70, 170));
         // and symmetrically for b (a = 120) → b ∈ [−20→0, 80]
-        let got = operand_range(&bin(BinOp::Add), 1, &r, ValueRange::new(100, 200)).expect("some");
+        let got =
+            operand_range(&bin(BinOp::Add), 1, r.view(), ValueRange::new(100, 200)).expect("some");
         assert_eq!(got, ValueRange::new(0, 80));
     }
 
@@ -822,9 +850,11 @@ mod lookup_table_tests {
     fn row2_sub_both_slots() {
         // dest = a − b, dest ∈ [100, 200], a = 150, b = 30
         let r = rec(vec![(150, true), (30, true)], Some(120));
-        let a = operand_range(&bin(BinOp::Sub), 0, &r, ValueRange::new(100, 200)).expect("some");
+        let a =
+            operand_range(&bin(BinOp::Sub), 0, r.view(), ValueRange::new(100, 200)).expect("some");
         assert_eq!(a, ValueRange::new(130, 230));
-        let b = operand_range(&bin(BinOp::Sub), 1, &r, ValueRange::new(100, 200)).expect("some");
+        let b =
+            operand_range(&bin(BinOp::Sub), 1, r.view(), ValueRange::new(100, 200)).expect("some");
         // b = a − dest → [150−200→0, 150−100] = [0, 50]
         assert_eq!(b, ValueRange::new(0, 50));
     }
@@ -833,37 +863,42 @@ mod lookup_table_tests {
     fn row3_mul() {
         // dest = a · 4, dest ∈ [100, 200] → a ∈ [25, 50]
         let r = rec(vec![(30, true), (4, true)], Some(120));
-        let got = operand_range(&bin(BinOp::Mul), 0, &r, ValueRange::new(100, 200)).expect("some");
+        let got =
+            operand_range(&bin(BinOp::Mul), 0, r.view(), ValueRange::new(100, 200)).expect("some");
         assert_eq!(got, ValueRange::new(25, 50));
         // zero multiplier: unconstrained
         let r0 = rec(vec![(30, true), (0, true)], Some(0));
-        assert!(operand_range(&bin(BinOp::Mul), 0, &r0, ValueRange::new(0, 0)).is_none());
+        assert!(operand_range(&bin(BinOp::Mul), 0, r0.view(), ValueRange::new(0, 0)).is_none());
     }
 
     #[test]
     fn row4_div() {
         // dest = a / 4, dest ∈ [10, 20] → a ∈ [40, 83]
         let r = rec(vec![(50, true), (4, true)], Some(12));
-        let got = operand_range(&bin(BinOp::SDiv), 0, &r, ValueRange::new(10, 20)).expect("some");
+        let got =
+            operand_range(&bin(BinOp::SDiv), 0, r.view(), ValueRange::new(10, 20)).expect("some");
         assert_eq!(got, ValueRange::new(40, 83));
         // the divisor is never constrained
-        assert!(operand_range(&bin(BinOp::SDiv), 1, &r, ValueRange::new(10, 20)).is_none());
+        assert!(operand_range(&bin(BinOp::SDiv), 1, r.view(), ValueRange::new(10, 20)).is_none());
     }
 
     #[test]
     fn shifts() {
         // dest = a << 3, dest ∈ [64, 256] → a ∈ [8, 32]
         let r = rec(vec![(10, true), (3, true)], Some(80));
-        let got = operand_range(&bin(BinOp::Shl), 0, &r, ValueRange::new(64, 256)).expect("some");
+        let got =
+            operand_range(&bin(BinOp::Shl), 0, r.view(), ValueRange::new(64, 256)).expect("some");
         assert_eq!(got, ValueRange::new(8, 32));
         // dest = a >> 2, dest ∈ [4, 8] → a ∈ [16, 35]
         let r = rec(vec![(20, true), (2, true)], Some(5));
-        let got = operand_range(&bin(BinOp::LShr), 0, &r, ValueRange::new(4, 8)).expect("some");
+        let got =
+            operand_range(&bin(BinOp::LShr), 0, r.view(), ValueRange::new(4, 8)).expect("some");
         assert_eq!(got, ValueRange::new(16, 35));
         // dest = a >> 54, dest ∈ [3, 1500]: 1500 << 54 overflows, so the
         // upper end saturates instead of wrapping to (1500 mod 1024) << 54.
         let r = rec(vec![(5 << 54, true), (54, true)], Some(5));
-        let got = operand_range(&bin(BinOp::LShr), 0, &r, ValueRange::new(3, 1500)).expect("some");
+        let got =
+            operand_range(&bin(BinOp::LShr), 0, r.view(), ValueRange::new(3, 1500)).expect("some");
         assert_eq!(got, ValueRange::new(3 << 54, u64::MAX));
     }
 
@@ -876,10 +911,10 @@ mod lookup_table_tests {
         };
         // dest = base + 4·idx, base = 0x1000, idx = 4 → dest = 0x1010.
         let r = rec(vec![(0x1000, true), (4, true)], Some(0x1010));
-        let base = operand_range(&op, 0, &r, ValueRange::new(0x1000, 0x1FFF)).expect("some");
+        let base = operand_range(&op, 0, r.view(), ValueRange::new(0x1000, 0x1FFF)).expect("some");
         // offset = 0x10 → base ∈ [0xFF0, 0x1FEF]
         assert_eq!(base, ValueRange::new(0xFF0, 0x1FEF));
-        let idx = operand_range(&op, 1, &r, ValueRange::new(0x1000, 0x1FFF)).expect("some");
+        let idx = operand_range(&op, 1, r.view(), ValueRange::new(0x1000, 0x1FFF)).expect("some");
         // idx ∈ [ceil(0/4), floor(0xFFF/4)] = [0, 0x3FF]
         assert_eq!(idx, ValueRange::new(0, 0x3FF));
     }
@@ -895,26 +930,28 @@ mod lookup_table_tests {
         let r = rec(vec![(50, true)], Some(50));
         let d = ValueRange::new(10, 100);
         assert_eq!(
-            operand_range(&mk(CastOp::ZExt, Type::I32, Type::I64), 0, &r, d),
+            operand_range(&mk(CastOp::ZExt, Type::I32, Type::I64), 0, r.view(), d),
             Some(ValueRange::new(10, 100))
         );
         assert_eq!(
-            operand_range(&mk(CastOp::PtrToInt, Type::Ptr, Type::I64), 0, &r, d),
+            operand_range(&mk(CastOp::PtrToInt, Type::Ptr, Type::I64), 0, r.view(), d),
             Some(d)
         );
         assert_eq!(
-            operand_range(&mk(CastOp::IntToPtr, Type::I64, Type::Ptr), 0, &r, d),
+            operand_range(&mk(CastOp::IntToPtr, Type::I64, Type::Ptr), 0, r.view(), d),
             Some(d)
         );
         // trunc passes through only when the bound fits the narrow type
         assert_eq!(
-            operand_range(&mk(CastOp::Trunc, Type::I64, Type::I8), 0, &r, d),
+            operand_range(&mk(CastOp::Trunc, Type::I64, Type::I8), 0, r.view(), d),
             Some(d)
         );
         let wide = ValueRange::new(10, 0x1_0000);
-        assert!(operand_range(&mk(CastOp::Trunc, Type::I64, Type::I8), 0, &r, wide).is_none());
+        assert!(
+            operand_range(&mk(CastOp::Trunc, Type::I64, Type::I8), 0, r.view(), wide).is_none()
+        );
         // float casts never propagate
-        assert!(operand_range(&mk(CastOp::SiToFp, Type::I64, Type::F64), 0, &r, d).is_none());
+        assert!(operand_range(&mk(CastOp::SiToFp, Type::I64, Type::F64), 0, r.view(), d).is_none());
     }
 
     #[test]
@@ -925,7 +962,7 @@ mod lookup_table_tests {
         };
         let r = rec(vec![(50, true)], Some(50));
         let d = ValueRange::new(10, 100);
-        assert_eq!(operand_range(&phi, 0, &r, d), Some(d));
+        assert_eq!(operand_range(&phi, 0, r.view(), d), Some(d));
 
         let select = Op::Select {
             ty: Type::I64,
@@ -935,16 +972,16 @@ mod lookup_table_tests {
         };
         // cond = 1 takes slot 1; slot 1 passes through, slot 2 unconstrained
         let r = rec(vec![(1, true), (50, true), (999, true)], Some(50));
-        assert_eq!(operand_range(&select, 1, &r, d), Some(d));
-        assert!(operand_range(&select, 2, &r, d).is_none());
+        assert_eq!(operand_range(&select, 1, r.view(), d), Some(d));
+        assert!(operand_range(&select, 2, r.view(), d).is_none());
         // flipping cond selects 999 ∉ [10,100] → cond pinned to 1
         assert_eq!(
-            operand_range(&select, 0, &r, d),
+            operand_range(&select, 0, r.view(), d),
             Some(ValueRange::new(1, 1))
         );
         // if the untaken value is also in range, cond is unconstrained
         let r = rec(vec![(1, true), (50, true), (60, true)], Some(50));
-        assert!(operand_range(&select, 0, &r, d).is_none());
+        assert!(operand_range(&select, 0, r.view(), d).is_none());
     }
 
     #[test]
@@ -959,7 +996,7 @@ mod lookup_table_tests {
             BinOp::SRem,
             BinOp::AShr,
         ] {
-            assert!(operand_range(&bin(op), 0, &r, d).is_none(), "{op:?}");
+            assert!(operand_range(&bin(op), 0, r.view(), d).is_none(), "{op:?}");
         }
         let icmp = Op::Icmp {
             pred: IcmpPred::Eq,
@@ -967,14 +1004,14 @@ mod lookup_table_tests {
             a: Value::Reg(epvf_ir::ValueId(0)),
             b: Value::Reg(epvf_ir::ValueId(1)),
         };
-        assert!(operand_range(&icmp, 0, &r, d).is_none());
+        assert!(operand_range(&icmp, 0, r.view(), d).is_none());
         let fcmp = Op::Fcmp {
             pred: FcmpPred::Oeq,
             ty: Type::F64,
             a: Value::Reg(epvf_ir::ValueId(0)),
             b: Value::Reg(epvf_ir::ValueId(1)),
         };
-        assert!(operand_range(&fcmp, 0, &r, d).is_none());
+        assert!(operand_range(&fcmp, 0, r.view(), d).is_none());
     }
 
     #[test]
@@ -982,7 +1019,7 @@ mod lookup_table_tests {
         // Actual operand value outside the derived range → None.
         let r = rec(vec![(5, true), (30, true)], Some(35));
         // dest ∈ [100, 200] but a = 5 would need a ∈ [70, 170]: contradiction.
-        assert!(operand_range(&bin(BinOp::Add), 0, &r, ValueRange::new(100, 200)).is_none());
+        assert!(operand_range(&bin(BinOp::Add), 0, r.view(), ValueRange::new(100, 200)).is_none());
         // An i32 product that wrapped: 3 · 0x9E37_79B9 = 0x1_DAA6_6D2B. A
         // dest reaching past 2^32 would hold 3 · 0x9E37_79B9 unwrapped, but
         // the row inverted at the golden result alone does not give back 3,
@@ -994,8 +1031,10 @@ mod lookup_table_tests {
             b: Value::Reg(epvf_ir::ValueId(1)),
         };
         let r = rec(vec![(3, true), (0x9E37_79B9, true)], Some(0xDAA6_6D2B));
-        assert!(operand_range(&mul32, 0, &r, ValueRange::new(0, 1 << 40)).is_none());
-        assert!(operand_range(&mul32, 0, &r, ValueRange::new(0, u64::from(u32::MAX))).is_none());
+        assert!(operand_range(&mul32, 0, r.view(), ValueRange::new(0, 1 << 40)).is_none());
+        assert!(
+            operand_range(&mul32, 0, r.view(), ValueRange::new(0, u64::from(u32::MAX))).is_none()
+        );
     }
 }
 
@@ -1094,7 +1133,7 @@ mod tests {
             .iter()
             .find(|r| {
                 ddg.def_of_record(r.idx)
-                    .map(|n| ddg.node(n).deps.len() == 2)
+                    .map(|n| ddg.deps(n).len() == 2)
                     .unwrap_or(false)
                     && r.operands.len() == 2
                     && r.result.is_some()

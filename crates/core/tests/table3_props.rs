@@ -12,7 +12,7 @@
 //! golden-value safety valve.
 
 use epvf_core::{operand_range, ValueRange};
-use epvf_interp::{DynInst, ExecConfig, Interpreter, Outcome, Trace};
+use epvf_interp::{DynInst, DynInstRef, ExecConfig, Interpreter, OperandRec, Outcome, Trace};
 use epvf_ir::{BinOp, IcmpPred, Module, ModuleBuilder, Op, Type, Value};
 
 /// Build `main(a: i64, b: i64) { r = a <op> b }`.
@@ -26,21 +26,47 @@ fn bin_module(op: BinOp) -> Module {
     mb.finish().expect("verifies")
 }
 
+/// A trace record cloned out of its run, with its operands.
+struct Rec {
+    inst: DynInst,
+    operands: Vec<OperandRec>,
+}
+
+impl Rec {
+    fn view(&self) -> DynInstRef<'_> {
+        DynInstRef {
+            inst: &self.inst,
+            operands: &self.operands,
+        }
+    }
+}
+
+impl std::ops::Deref for Rec {
+    type Target = DynInst;
+    fn deref(&self) -> &DynInst {
+        &self.inst
+    }
+}
+
 /// Golden-run `module` and return the first record whose static op
 /// satisfies `pred`, along with that op (cloned out of the module).
-fn traced_op(module: &Module, args: &[u64], pred: impl Fn(&Op) -> bool) -> (Op, DynInst) {
+fn traced_op(module: &Module, args: &[u64], pred: impl Fn(&Op) -> bool) -> (Op, Rec) {
     let run = Interpreter::new(module, ExecConfig::default())
         .golden_run("main", args)
         .expect("entry valid");
     assert_eq!(run.outcome, Outcome::Completed);
     let trace: &Trace = run.trace.as_ref().expect("traced");
-    for rec in &trace.records {
+    for rec in trace {
         let inst = module.functions[rec.func.index()]
             .insts()
             .find(|i| i.sid == rec.sid)
             .expect("record maps to a static inst");
         if pred(&inst.op) {
-            return (inst.op.clone(), rec.clone());
+            let rec = Rec {
+                inst: rec.inst.clone(),
+                operands: rec.operands.to_vec(),
+            };
+            return (inst.op.clone(), rec);
         }
     }
     panic!("no matching instruction executed");
@@ -64,7 +90,7 @@ fn result_with(
         .golden_run("main", &args)
         .expect("entry valid");
     let trace = run.trace.as_ref()?;
-    for rec in &trace.records {
+    for rec in trace {
         let inst = module.functions[rec.func.index()]
             .insts()
             .find(|i| i.sid == rec.sid)
@@ -113,7 +139,7 @@ fn assert_exact_on_byte_domain(op: BinOp, args: &[u64; 2], slot: usize) {
         .map(|v| result_with(&module, args, slot, v, is_bin))
         .collect();
     for dest in dests_around(golden_res) {
-        let Some(r) = operand_range(&sop, slot, &rec, dest) else {
+        let Some(r) = operand_range(&sop, slot, rec.view(), dest) else {
             continue; // unconstrained: conservative, nothing to refute
         };
         assert!(
@@ -170,7 +196,7 @@ fn div_inversion_matches_enumeration() {
     let module = bin_module(BinOp::UDiv);
     let (op, rec) = traced_op(&module, &[100, 7], |o| matches!(o, Op::Bin { .. }));
     assert_eq!(
-        operand_range(&op, 1, &rec, ValueRange::new(10, 20)),
+        operand_range(&op, 1, rec.view(), ValueRange::new(10, 20)),
         None,
         "divisor inversion is out of the model's scope"
     );
@@ -199,7 +225,7 @@ fn bitwise_ops_are_unconstrained() {
         for dest in dests_around(res) {
             for slot in 0..2 {
                 assert_eq!(
-                    operand_range(&sop, slot, &rec, dest),
+                    operand_range(&sop, slot, rec.view(), dest),
                     None,
                     "{op:?} slot {slot} dest {dest}"
                 );
@@ -218,7 +244,7 @@ fn add_wraparound_is_exact_or_rejected() {
     let is_bin = |o: &Op| matches!(o, Op::Bin { .. });
     let (op, rec) = traced_op(&module, &args, is_bin);
     let dest = ValueRange::new(u64::MAX - 2, u64::MAX);
-    let r = operand_range(&op, 0, &rec, dest).expect("invertible near the top");
+    let r = operand_range(&op, 0, rec.view(), dest).expect("invertible near the top");
     for v in 0..=255u64 {
         let res = result_with(&module, &args, 0, v, is_bin);
         assert_eq!(
@@ -231,7 +257,7 @@ fn add_wraparound_is_exact_or_rejected() {
     // cannot express that, and the valve must drop it.
     let wrapped = traced_op(&module, &[10, u64::MAX - 3], is_bin);
     assert_eq!(
-        operand_range(&wrapped.0, 0, &wrapped.1, ValueRange::new(0, 100)),
+        operand_range(&wrapped.0, 0, wrapped.1.view(), ValueRange::new(0, 100)),
         None,
         "wraparound inversion must be rejected, not guessed"
     );
@@ -243,10 +269,16 @@ fn empty_inverted_range_is_rejected() {
     // inversion comes out inverted (lo > hi) and the valve returns None.
     let module = bin_module(BinOp::Mul);
     let (op, rec) = traced_op(&module, &[1, 10], |o| matches!(o, Op::Bin { .. }));
-    assert_eq!(operand_range(&op, 0, &rec, ValueRange::new(5, 7)), None);
+    assert_eq!(
+        operand_range(&op, 0, rec.view(), ValueRange::new(5, 7)),
+        None
+    );
     // Same via mul-by-zero: nothing to invert.
     let (zop, zrec) = traced_op(&module, &[1, 0], |o| matches!(o, Op::Bin { .. }));
-    assert_eq!(operand_range(&zop, 0, &zrec, ValueRange::new(0, 10)), None);
+    assert_eq!(
+        operand_range(&zop, 0, zrec.view(), ValueRange::new(0, 10)),
+        None
+    );
 }
 
 #[test]
@@ -262,7 +294,7 @@ fn cast_rows_match_enumeration() {
     let is_cast = |o: &Op| matches!(o, Op::Cast { .. });
     let (op, rec) = traced_op(&module, &[77], is_cast);
     for dest in dests_around(77) {
-        match operand_range(&op, 0, &rec, dest) {
+        match operand_range(&op, 0, rec.view(), dest) {
             Some(r) => {
                 assert!(
                     dest.hi <= u64::from(u32::MAX),
@@ -299,7 +331,7 @@ fn cast_rows_match_enumeration() {
         let module = mb.finish().expect("verifies");
         let (op, rec) = traced_op(&module, &[200], is_cast);
         for dest in dests_around(200) {
-            let Some(r) = operand_range(&op, 0, &rec, dest) else {
+            let Some(r) = operand_range(&op, 0, rec.view(), dest) else {
                 panic!("widening casts are always invertible (dest {dest})");
             };
             assert!(
@@ -334,7 +366,7 @@ fn cast_rows_match_enumeration() {
         operand_range(
             &op,
             0,
-            &rec,
+            rec.view(),
             ValueRange::new(golden_res - 8, golden_res + 8)
         ),
         None,
@@ -359,7 +391,7 @@ fn gep_inversion_matches_enumeration() {
     for dest in dests_around(golden_res) {
         // Index slot (operand 1, wired to entry argument 0): exact against
         // enumeration.
-        if let Some(r) = operand_range(&op, 1, &rec, dest) {
+        if let Some(r) = operand_range(&op, 1, rec.view(), dest) {
             for v in 0..=255u64 {
                 let res = result_with(&module, &[3], 0, v, is_gep);
                 assert_eq!(
@@ -370,7 +402,7 @@ fn gep_inversion_matches_enumeration() {
             }
         }
         // Base slot: inverse shift by the actual golden offset.
-        if let Some(r) = operand_range(&op, 0, &rec, dest) {
+        if let Some(r) = operand_range(&op, 0, rec.view(), dest) {
             assert!(r.contains(rec.operands[0].bits), "golden base in {r}");
             let off = golden_res.wrapping_sub(rec.operands[0].bits);
             assert_eq!(r.lo, dest.lo.saturating_sub(off), "dest {dest}");
@@ -395,7 +427,7 @@ fn phi_and_select_forward_the_constraint() {
     let is_phi = |o: &Op| matches!(o, Op::Phi { .. });
     let (op, rec) = traced_op(&module, &[42], is_phi);
     for dest in dests_around(42) {
-        assert_eq!(operand_range(&op, 0, &rec, dest), Some(dest));
+        assert_eq!(operand_range(&op, 0, rec.view(), dest), Some(dest));
         for v in 0..=255u64 {
             let res = result_with(&module, &[42], 0, v, is_phi).expect("phi completes");
             assert_eq!(dest.contains(v), dest.contains(res), "phi is the identity");
@@ -417,17 +449,23 @@ fn phi_and_select_forward_the_constraint() {
     let is_sel = |o: &Op| matches!(o, Op::Select { .. });
     let (op, rec) = traced_op(&module, &[1, 50, 90], is_sel); // cond true -> takes a=50
     let taken_dest = ValueRange::new(40, 60);
-    assert_eq!(operand_range(&op, 1, &rec, taken_dest), Some(taken_dest));
     assert_eq!(
-        operand_range(&op, 2, &rec, taken_dest),
+        operand_range(&op, 1, rec.view(), taken_dest),
+        Some(taken_dest)
+    );
+    assert_eq!(
+        operand_range(&op, 2, rec.view(), taken_dest),
         None,
         "untaken slot"
     );
     // Untaken b=90 violates [40, 60] -> the condition bit is pinned.
     assert_eq!(
-        operand_range(&op, 0, &rec, taken_dest),
+        operand_range(&op, 0, rec.view(), taken_dest),
         Some(ValueRange::new(1, 1))
     );
     // Untaken b=90 satisfies [0, 100] -> flipping the condition is benign.
-    assert_eq!(operand_range(&op, 0, &rec, ValueRange::new(0, 100)), None);
+    assert_eq!(
+        operand_range(&op, 0, rec.view(), ValueRange::new(0, 100)),
+        None
+    );
 }

@@ -61,7 +61,7 @@ impl AceGraph {
         let mut frontier_peak = queue.len();
         while let Some(n) = queue.pop_front() {
             nodes.push(n);
-            for &(d, _) in &ddg.node(n).deps {
+            for &(d, _) in ddg.deps(n) {
                 if !in_ace[d.index()] {
                     in_ace[d.index()] = true;
                     queue.push_back(d);

@@ -1,7 +1,7 @@
 //! DDG construction from a dynamic trace (§III-A).
 
 use crate::graph::{Ddg, EdgeKind, Node, NodeId, NodeKind};
-use epvf_interp::{DynInst, DynValueId, Trace, WordMap};
+use epvf_interp::{DynInst, DynInstRef, DynValueId, Trace, WordMap};
 use epvf_ir::{Inst, InstIndex, Module, Op, Type, Value};
 use serde::{Deserialize, Serialize};
 
@@ -38,6 +38,11 @@ struct Builder<'m> {
     module: &'m Module,
     config: DdgConfig,
     nodes: Vec<Node>,
+    edge_start: Vec<u32>,
+    edges: Vec<(NodeId, EdgeKind)>,
+    /// The edges of the node a record defines, staged until it is pushed:
+    /// `reg_node` may push def-less nodes (with no edges) ahead of it.
+    stage: Vec<(NodeId, EdgeKind)>,
     /// Dynamic value → its node, indexed by `DynValueId` up to the last
     /// result id of the trace. The interpreter hands ids out from a
     /// counter, so that covers every id a record reads except the few
@@ -55,9 +60,14 @@ struct Builder<'m> {
 }
 
 impl<'m> Builder<'m> {
+    /// Push a node whose edges are the staged ones, and empty the stage.
     fn push_node(&mut self, node: Node) -> NodeId {
-        let id = NodeId(self.nodes.len() as u32);
+        let id = NodeId(u32::try_from(self.nodes.len()).expect("a DDG has fewer than 2^32 nodes"));
         self.nodes.push(node);
+        self.edges.extend_from_slice(&self.stage);
+        self.stage.clear();
+        self.edge_start
+            .push(u32::try_from(self.edges.len()).expect("a DDG has fewer than 2^32 edges"));
         id
     }
 
@@ -80,67 +90,80 @@ impl<'m> Builder<'m> {
     }
 
     /// Node for a dynamic register value; creates a def-less register node
-    /// (entry argument / constant-bound parameter) on first sight.
+    /// (entry argument / constant-bound parameter) on first sight. The
+    /// stage is set aside meanwhile, so the new node gets no edges.
     fn reg_node(&mut self, dv: DynValueId, bits: u32) -> NodeId {
         if let Some(id) = self.node_of(dv) {
             return id;
         }
+        let staged = std::mem::take(&mut self.stage);
         let id = self.push_node(Node {
             kind: NodeKind::Reg(dv),
             bits,
             def_record: None,
-            deps: Vec::new(),
         });
+        self.stage = staged;
         self.bind(dv, id);
         id
     }
 
-    /// Dependency edges for the register-backed operands of a record.
-    fn operand_deps(&mut self, rec: &DynInst) -> Vec<(NodeId, EdgeKind)> {
-        let mut deps = Vec::new();
-        for op in &rec.operands {
-            if let Some(src) = op.src {
-                let bits = operand_type(self.module, rec, op.value).bits();
-                deps.push((self.reg_node(src, bits), EdgeKind::Data));
-            }
-        }
-        deps
+    /// Stage an edge from the node carrying `src`.
+    fn stage_reg(&mut self, src: DynValueId, bits: u32, kind: EdgeKind) {
+        let n = self.reg_node(src, bits);
+        self.stage.push((n, kind));
     }
 
-    fn define_result(&mut self, rec: &DynInst, deps: Vec<(NodeId, EdgeKind)>) -> Option<NodeId> {
-        let (reg, _bits, dv) = rec.result?;
+    /// Stage the dependency edges for the register-backed operands of a
+    /// record.
+    fn stage_operand_deps(&mut self, rec: DynInstRef<'_>) {
+        for op in rec.operands {
+            if let Some(src) = op.src {
+                let bits = operand_type(self.module, &rec, op.value).bits();
+                self.stage_reg(src, bits, EdgeKind::Data);
+            }
+        }
+    }
+
+    /// Push the register node a record defines, with the staged edges.
+    fn define_result(&mut self, rec: &DynInst) -> Option<NodeId> {
+        let Some((reg, _bits, dv)) = rec.result else {
+            // A record that stopped the run before defining its result.
+            self.stage.clear();
+            return None;
+        };
         let ty = self.module.functions[rec.func.index()].value_types[reg.index()];
         let id = self.push_node(Node {
             kind: NodeKind::Reg(dv),
             bits: ty.bits(),
             def_record: Some(rec.idx),
-            deps,
         });
         self.bind(dv, id);
         Some(id)
     }
 
-    fn visit(&mut self, rec: &DynInst, inst: &Inst) {
+    fn visit(&mut self, rec: DynInstRef<'_>, inst: &Inst) {
         let def = match &inst.op {
             Op::Store { .. } => {
                 // operands: [value, addr]
-                let mut deps = Vec::new();
                 if let Some(src) = rec.operands[0].src {
-                    let bits = operand_type(self.module, rec, rec.operands[0].value).bits();
-                    deps.push((self.reg_node(src, bits), EdgeKind::Data));
+                    let bits = operand_type(self.module, &rec, rec.operands[0].value).bits();
+                    self.stage_reg(src, bits, EdgeKind::Data);
                 }
                 if self.config.addr_edges {
                     if let Some(src) = rec.operands[1].src {
                         // The virtual addressing edge of §III-A.
-                        deps.push((self.reg_node(src, 64), EdgeKind::Addr));
+                        self.stage_reg(src, 64, EdgeKind::Addr);
                     }
                 }
-                let mem = rec.mem.as_ref().expect("store records carry access info");
+                let mem = rec
+                    .inst
+                    .mem
+                    .as_ref()
+                    .expect("store records carry access info");
                 let id = self.push_node(Node {
                     kind: NodeKind::Mem { addr: mem.addr },
                     bits: (mem.size * 8) as u32,
                     def_record: Some(rec.idx),
-                    deps,
                 });
                 for b in mem.addr..mem.addr + mem.size {
                     self.last_store.insert(b, id);
@@ -149,27 +172,30 @@ impl<'m> Builder<'m> {
             }
             Op::Load { .. } => {
                 // operands: [addr]
-                let mem = rec.mem.as_ref().expect("load records carry access info");
-                let mut deps: Vec<(NodeId, EdgeKind)> = Vec::new();
+                let mem = rec
+                    .inst
+                    .mem
+                    .as_ref()
+                    .expect("load records carry access info");
                 let mut last: Option<NodeId> = None;
                 for b in mem.addr..mem.addr + mem.size {
                     if let Some(&src) = self.last_store.get(&b) {
                         if last != Some(src) {
-                            deps.push((src, EdgeKind::Data));
+                            self.stage.push((src, EdgeKind::Data));
                             last = Some(src);
                         }
                     }
                 }
                 if self.config.addr_edges {
                     if let Some(src) = rec.operands[0].src {
-                        deps.push((self.reg_node(src, 64), EdgeKind::Addr));
+                        self.stage_reg(src, 64, EdgeKind::Addr);
                     }
                 }
-                self.define_result(rec, deps)
+                self.define_result(&rec)
             }
             Op::Output { .. } => {
                 if let Some(src) = rec.operands[0].src {
-                    let bits = operand_type(self.module, rec, rec.operands[0].value).bits();
+                    let bits = operand_type(self.module, &rec, rec.operands[0].value).bits();
                     let n = self.reg_node(src, bits);
                     self.outputs.push(n);
                 }
@@ -194,8 +220,8 @@ impl<'m> Builder<'m> {
             // Every other operation defines a register from its
             // register-backed operands.
             _ => {
-                let deps = self.operand_deps(rec);
-                self.define_result(rec, deps)
+                self.stage_operand_deps(rec);
+                self.define_result(&rec)
             }
         };
         self.record_def[rec.idx as usize] = def;
@@ -220,15 +246,20 @@ pub fn build_ddg_with(module: &Module, trace: &Trace, config: DdgConfig) -> Ddg 
     let index = InstIndex::new(module);
     // Result ids grow along the trace, so the last one is the largest.
     let n_dyn = trace
-        .records
         .iter()
         .rev()
         .find_map(|r| r.result)
         .map_or(0, |(_, _, dv)| dv.index() + 1);
+    let mut edge_start = Vec::with_capacity(trace.len() + 1);
+    edge_start.push(0);
     let mut b = Builder {
         module,
         config,
         nodes: Vec::with_capacity(trace.len()),
+        edge_start,
+        // Every edge but a load's memory edge stands for an operand read.
+        edges: Vec::with_capacity(trace.operand_count()),
+        stage: Vec::new(),
         by_dyn: vec![NO_NODE; n_dyn],
         late_dyn: WordMap::default(),
         last_store: WordMap::default(),
@@ -244,13 +275,12 @@ pub fn build_ddg_with(module: &Module, trace: &Trace, config: DdgConfig) -> Ddg 
         use epvf_telemetry::{add, Ctr};
         add(Ctr::DdgBuilds, 1);
         add(Ctr::DdgNodesCreated, b.nodes.len() as u64);
-        add(
-            Ctr::DdgEdgesCreated,
-            b.nodes.iter().map(|n| n.deps.len() as u64).sum(),
-        );
+        add(Ctr::DdgEdgesCreated, b.edges.len() as u64);
     }
     Ddg {
         nodes: b.nodes,
+        edge_start: b.edge_start,
+        edges: b.edges,
         outputs: b.outputs,
         controls: b.controls,
         record_def: b.record_def,
@@ -292,14 +322,13 @@ mod tests {
     fn ddg_has_store_with_data_and_addr_edges() {
         let (m, t) = pathfinder_fragment();
         let ddg = build_ddg(&m, &t);
-        let mem_nodes: Vec<_> = ddg
-            .nodes()
-            .iter()
-            .filter(|n| matches!(n.kind, NodeKind::Mem { .. }))
+        let mem_nodes: Vec<_> = (0..ddg.len() as u32)
+            .map(NodeId)
+            .filter(|&n| matches!(ddg.node(n).kind, NodeKind::Mem { .. }))
             .collect();
         assert_eq!(mem_nodes.len(), 1, "exactly one store");
         let store = mem_nodes[0];
-        let kinds: Vec<EdgeKind> = store.deps.iter().map(|(_, k)| *k).collect();
+        let kinds: Vec<EdgeKind> = ddg.deps(store).iter().map(|(_, k)| *k).collect();
         assert!(kinds.contains(&EdgeKind::Data), "stored value edge");
         assert!(kinds.contains(&EdgeKind::Addr), "virtual addressing edge");
     }
@@ -309,9 +338,9 @@ mod tests {
         let (m, t) = pathfinder_fragment();
         let ddg = build_ddg(&m, &t);
         // find the load's node: a Reg node whose deps include a Mem node
-        let has_load_link = ddg.nodes().iter().any(|n| {
-            n.kind.is_reg()
-                && n.deps.iter().any(|(d, k)| {
+        let has_load_link = (0..ddg.len() as u32).map(NodeId).any(|n| {
+            ddg.node(n).kind.is_reg()
+                && ddg.deps(n).iter().any(|(d, k)| {
                     *k == EdgeKind::Data && matches!(ddg.node(*d).kind, NodeKind::Mem { .. })
                 })
         });

@@ -60,7 +60,7 @@ pub enum EdgeKind {
     Addr,
 }
 
-/// One DDG vertex.
+/// One DDG vertex. Its producer edges are [`Ddg::deps`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Node {
     /// What this vertex stands for.
@@ -70,14 +70,15 @@ pub struct Node {
     pub bits: u32,
     /// Dynamic trace index of the defining record, if any.
     pub def_record: Option<u64>,
-    /// Producer edges: the nodes this one was computed from.
-    pub deps: Vec<(NodeId, EdgeKind)>,
 }
 
 /// The dynamic dependency graph of one traced run.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct Ddg {
     pub(crate) nodes: Vec<Node>,
+    /// Node `i`'s producer edges are `edges[edge_start[i]..edge_start[i + 1]]`.
+    pub(crate) edge_start: Vec<u32>,
+    pub(crate) edges: Vec<(NodeId, EdgeKind)>,
     /// Output roots: nodes feeding `output` instructions, in trace order
     /// (the temporal ordering §IV-E's sampling relies on).
     pub(crate) outputs: Vec<NodeId>,
@@ -102,6 +103,16 @@ impl Ddg {
     /// Panics if `id` is out of range.
     pub fn node(&self, id: NodeId) -> &Node {
         &self.nodes[id.index()]
+    }
+
+    /// Producer edges of `id`: the nodes it was computed from, each with a
+    /// smaller id.
+    ///
+    /// # Panics
+    /// Panics if `id` is out of range.
+    pub fn deps(&self, id: NodeId) -> &[(NodeId, EdgeKind)] {
+        let i = id.index();
+        &self.edges[self.edge_start[i] as usize..self.edge_start[i + 1] as usize]
     }
 
     /// Number of vertices.
@@ -149,7 +160,7 @@ impl Ddg {
         seen[from.index()] = true;
         while let Some(n) = stack.pop() {
             out.push(n);
-            for &(d, _) in &self.nodes[n.index()].deps {
+            for &(d, _) in self.deps(n) {
                 if !seen[d.index()] {
                     seen[d.index()] = true;
                     stack.push(d);
@@ -180,7 +191,7 @@ impl Ddg {
             out.push(root);
             stack.push((root, 0));
             while let Some(&mut (n, ref mut next)) = stack.last_mut() {
-                let deps = &self.nodes[n.index()].deps;
+                let deps = self.deps(n);
                 if *next < deps.len() {
                     let (d, _) = deps[*next];
                     *next += 1;
@@ -202,37 +213,43 @@ impl Ddg {
 mod tests {
     use super::*;
 
-    fn n(kind: NodeKind, bits: u32, deps: Vec<(NodeId, EdgeKind)>) -> Node {
-        Node {
-            kind,
-            bits,
-            def_record: None,
-            deps,
+    type Deps = Vec<(NodeId, EdgeKind)>;
+
+    /// A graph of `(kind, bits, deps)` nodes with no roots.
+    fn graph(nodes: Vec<(NodeKind, u32, Deps)>) -> Ddg {
+        let mut ddg = Ddg {
+            edge_start: vec![0],
+            ..Ddg::default()
+        };
+        for (kind, bits, deps) in nodes {
+            ddg.nodes.push(Node {
+                kind,
+                bits,
+                def_record: None,
+            });
+            ddg.edges.extend(deps);
+            ddg.edge_start.push(ddg.edges.len() as u32);
         }
+        ddg
     }
 
     #[test]
     fn backward_slice_closure() {
         // 0 <- 1 <- 2,  3 isolated
-        let ddg = Ddg {
-            nodes: vec![
-                n(NodeKind::External, 0, vec![]),
-                n(
-                    NodeKind::Reg(DynValueId(0)),
-                    32,
-                    vec![(NodeId(0), EdgeKind::Data)],
-                ),
-                n(
-                    NodeKind::Reg(DynValueId(1)),
-                    32,
-                    vec![(NodeId(1), EdgeKind::Data)],
-                ),
-                n(NodeKind::Reg(DynValueId(2)), 64, vec![]),
-            ],
-            outputs: vec![NodeId(2)],
-            controls: vec![],
-            record_def: vec![],
-        };
+        let ddg = graph(vec![
+            (NodeKind::External, 0, vec![]),
+            (
+                NodeKind::Reg(DynValueId(0)),
+                32,
+                vec![(NodeId(0), EdgeKind::Data)],
+            ),
+            (
+                NodeKind::Reg(DynValueId(1)),
+                32,
+                vec![(NodeId(1), EdgeKind::Data)],
+            ),
+            (NodeKind::Reg(DynValueId(2)), 64, vec![]),
+        ]);
         let mut slice = ddg.backward_slice(NodeId(2));
         slice.sort();
         assert_eq!(slice, vec![NodeId(0), NodeId(1), NodeId(2)]);
@@ -242,30 +259,25 @@ mod tests {
     #[test]
     fn backward_closure_ordered_is_preorder_and_deduplicated() {
         // 3 -> 1 -> 0, 3 -> 2 -> 0 (diamond); 4 isolated.
-        let ddg = Ddg {
-            nodes: vec![
-                n(NodeKind::External, 0, vec![]),
-                n(
-                    NodeKind::Reg(DynValueId(0)),
-                    32,
-                    vec![(NodeId(0), EdgeKind::Data)],
-                ),
-                n(
-                    NodeKind::Reg(DynValueId(1)),
-                    32,
-                    vec![(NodeId(0), EdgeKind::Data)],
-                ),
-                n(
-                    NodeKind::Reg(DynValueId(2)),
-                    64,
-                    vec![(NodeId(1), EdgeKind::Data), (NodeId(2), EdgeKind::Data)],
-                ),
-                n(NodeKind::Reg(DynValueId(3)), 8, vec![]),
-            ],
-            outputs: vec![],
-            controls: vec![],
-            record_def: vec![],
-        };
+        let ddg = graph(vec![
+            (NodeKind::External, 0, vec![]),
+            (
+                NodeKind::Reg(DynValueId(0)),
+                32,
+                vec![(NodeId(0), EdgeKind::Data)],
+            ),
+            (
+                NodeKind::Reg(DynValueId(1)),
+                32,
+                vec![(NodeId(0), EdgeKind::Data)],
+            ),
+            (
+                NodeKind::Reg(DynValueId(2)),
+                64,
+                vec![(NodeId(1), EdgeKind::Data), (NodeId(2), EdgeKind::Data)],
+            ),
+            (NodeKind::Reg(DynValueId(3)), 8, vec![]),
+        ]);
         // Preorder from 3: 3, first dep chain (1, 0), then 2 (0 already seen).
         assert_eq!(
             ddg.backward_closure_ordered([NodeId(3)]),
@@ -277,21 +289,17 @@ mod tests {
             vec![NodeId(1), NodeId(0), NodeId(3), NodeId(2)]
         );
         assert_eq!(ddg.backward_closure_ordered([NodeId(4)]), vec![NodeId(4)]);
+        assert_eq!(ddg.deps(NodeId(4)), &[]);
     }
 
     #[test]
     fn total_register_bits_ignores_external_and_mem() {
-        let ddg = Ddg {
-            nodes: vec![
-                n(NodeKind::External, 0, vec![]),
-                n(NodeKind::Mem { addr: 0x10 }, 32, vec![]),
-                n(NodeKind::Reg(DynValueId(0)), 32, vec![]),
-                n(NodeKind::Reg(DynValueId(1)), 64, vec![]),
-            ],
-            outputs: vec![],
-            controls: vec![],
-            record_def: vec![],
-        };
+        let ddg = graph(vec![
+            (NodeKind::External, 0, vec![]),
+            (NodeKind::Mem { addr: 0x10 }, 32, vec![]),
+            (NodeKind::Reg(DynValueId(0)), 32, vec![]),
+            (NodeKind::Reg(DynValueId(1)), 64, vec![]),
+        ]);
         assert_eq!(ddg.total_register_bits(), 96);
     }
 

@@ -2,7 +2,7 @@
 //! and ACE graph must uphold their structural invariants regardless of
 //! program shape.
 
-use epvf_ddg::{build_ddg, AceConfig, AceGraph, EdgeKind, NodeKind};
+use epvf_ddg::{build_ddg, AceConfig, AceGraph, EdgeKind, NodeId, NodeKind};
 use epvf_interp::{ExecConfig, Interpreter};
 use epvf_ir::{BinOp, Module, ModuleBuilder, Type, Value};
 use proptest::prelude::*;
@@ -104,11 +104,11 @@ proptest! {
         let trace = run.trace.as_ref().expect("traced");
         let ddg = build_ddg(&m, trace);
 
-        // 1. Every dependency edge points at an existing earlier node.
-        for (i, node) in ddg.nodes().iter().enumerate() {
-            for &(dep, _) in &node.deps {
-                prop_assert!(dep.index() < ddg.len());
-                prop_assert!(dep.index() != i, "no self-loops");
+        // 1. Every dependency edge points at an existing earlier node: the
+        //    order the one-sweep propagation relies on.
+        for i in 0..ddg.len() {
+            for &(dep, _) in ddg.deps(NodeId(i as u32)) {
+                prop_assert!(dep.index() < i, "edge {} <- {}", i, dep.index());
             }
         }
 
@@ -129,7 +129,7 @@ proptest! {
 
         // 4. The ACE set is dependency-closed: deps of ACE nodes are ACE.
         for n in ace.nodes() {
-            for &(dep, _) in &ddg.node(*n).deps {
+            for &(dep, _) in ddg.deps(*n) {
                 prop_assert!(ace.contains(dep), "ACE closure violated");
             }
         }
@@ -145,8 +145,8 @@ proptest! {
 
         // 6. Loads depend on the memory version of the covering store via a
         //    Data edge, never an Addr edge to a Mem node.
-        for node in ddg.nodes() {
-            for &(dep, kind) in &node.deps {
+        for i in 0..ddg.len() {
+            for &(dep, kind) in ddg.deps(NodeId(i as u32)) {
                 if matches!(ddg.node(dep).kind, NodeKind::Mem { .. }) {
                     prop_assert_eq!(kind, EdgeKind::Data, "mem deps are data edges");
                 }
@@ -172,12 +172,11 @@ proptest! {
             .expect("runs");
         prop_assert_eq!(run.outputs[0], v as u64);
         let ddg = build_ddg(&m, run.trace.as_ref().expect("traced"));
-        let load_node = ddg
-            .nodes()
-            .iter()
-            .find(|n| {
-                n.kind.is_reg()
-                    && n.deps.iter().any(|(d, _)| matches!(ddg.node(*d).kind, NodeKind::Mem { .. }))
+        let load_node = (0..ddg.len() as u32)
+            .map(NodeId)
+            .find(|&n| {
+                ddg.node(n).kind.is_reg()
+                    && ddg.deps(n).iter().any(|(d, _)| matches!(ddg.node(*d).kind, NodeKind::Mem { .. }))
             });
         prop_assert!(load_node.is_some(), "load links to the store's memory version");
     }

@@ -61,4 +61,7 @@ pub use machine::{
     Snapshot, DEADLINE_CHECK_STRIDE,
 };
 pub use outcome::{CrashKind, Outcome, RunResult, TimeoutKind};
-pub use trace::{section_runs, DynInst, DynValueId, MemAccessRec, OperandRec, SectionRun, Trace};
+pub use trace::{
+    section_runs, DynInst, DynInstRef, DynValueId, MemAccessRec, OperandRec, SectionRun, Trace,
+    TraceIter,
+};

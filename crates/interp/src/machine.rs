@@ -926,16 +926,16 @@ impl<'m, 'r> Exec<'m, 'r> {
             let (bits, src) = self.read_operand(dyn_idx, 0, taken);
             let result = inst.result.expect("phi defines");
             if self.config.record_trace {
-                self.trace.records.push(DynInst {
+                self.trace.push_operand(OperandRec {
+                    value: taken,
+                    bits,
+                    src,
+                });
+                self.trace.push(DynInst {
                     idx: dyn_idx,
                     sid: inst.sid,
                     func: func_id,
-                    result: None, // patched below with the committed dyn id
-                    operands: vec![OperandRec {
-                        value: taken,
-                        bits,
-                        src,
-                    }],
+                    result: None, // set below with the committed dyn id
                     mem: None,
                 });
             }
@@ -960,8 +960,8 @@ impl<'m, 'r> Exec<'m, 'r> {
             frame.regs[reg.index()] = bits;
             frame.dynid[reg.index()] = id;
             if self.config.record_trace {
-                let ridx = self.trace.records.len() - n + i;
-                self.trace.records[ridx].result = Some((reg, bits, id));
+                self.trace
+                    .set_result(self.trace.len() - n + i, (reg, bits, id));
             }
         }
         let frame = self.frames.last_mut().expect("frame exists");
@@ -1068,34 +1068,30 @@ impl<'m, 'r> Exec<'m, 'r> {
         if matches!(self.fault_at(dyn_idx), Some(FaultEffect::SkipInst)) && !inst.op.is_terminator()
         {
             if self.config.record_trace {
-                self.trace.records.push(DynInst {
+                self.trace.push(DynInst {
                     idx: dyn_idx,
                     sid: inst.sid,
                     func: func_id,
                     result: None,
-                    operands: Vec::new(),
                     mem: None,
                 });
             }
             return Flow::Next;
         }
 
-        // Operand reads (slot order = Op::operands()).
-        let mut rec_ops: Vec<OperandRec> = Vec::new();
-        let record = |ops: &mut Vec<OperandRec>, v: Value, bits: u64, src| {
-            ops.push(OperandRec {
-                value: v,
-                bits,
-                src,
-            });
-        };
+        // Operand reads (slot order = Op::operands()), recorded in place
+        // as the operands of this instruction's record.
         let tracing = self.config.record_trace;
 
         macro_rules! read {
             ($slot:expr, $v:expr) => {{
                 let (bits, src) = self.read_operand(dyn_idx, $slot, $v);
                 if tracing {
-                    record(&mut rec_ops, $v, bits, src);
+                    self.trace.push_operand(OperandRec {
+                        value: $v,
+                        bits,
+                        src,
+                    });
                 }
                 (bits, src)
             }};
@@ -1374,12 +1370,11 @@ impl<'m, 'r> Exec<'m, 'r> {
         };
 
         if tracing {
-            self.trace.records.push(DynInst {
+            self.trace.push(DynInst {
                 idx: dyn_idx,
                 sid: inst.sid,
                 func: func_id,
                 result,
-                operands: rec_ops,
                 mem: mem_rec,
             });
         }

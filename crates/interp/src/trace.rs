@@ -8,6 +8,7 @@
 use epvf_ir::{FuncId, StaticInstId, Value, ValueId};
 use epvf_memsim::MemoryMap;
 use serde::{Deserialize, Serialize};
+use std::ops::Deref;
 use std::sync::Arc;
 
 /// Identity of one *dynamic register instance*.
@@ -61,7 +62,8 @@ pub struct MemAccessRec {
     pub map: Arc<MemoryMap>,
 }
 
-/// One executed instruction.
+/// One executed instruction. Its operands live in the [`Trace`]'s operand
+/// arena; [`DynInstRef`] pairs a record with them.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DynInst {
     /// Position in the dynamic trace (0-based).
@@ -73,17 +75,61 @@ pub struct DynInst {
     /// Result register, its value, and its fresh dynamic id, if the
     /// instruction defines one.
     pub result: Option<(ValueId, u64, DynValueId)>,
-    /// Operands as read. For `phi`, only the taken incoming is recorded.
-    pub operands: Vec<OperandRec>,
     /// Memory access details for loads/stores.
     pub mem: Option<MemAccessRec>,
 }
 
+/// A borrowed trace record with its operands, as [`Trace::get`] and
+/// [`Trace::iter`] hand it out. It derefs to the [`DynInst`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct DynInstRef<'a> {
+    /// The record.
+    pub inst: &'a DynInst,
+    /// Operands as read, in slot order (`Op::operands`). For `phi`, only
+    /// the taken incoming is recorded; a skipped instruction has none.
+    pub operands: &'a [OperandRec],
+}
+
+impl Deref for DynInstRef<'_> {
+    type Target = DynInst;
+    fn deref(&self) -> &DynInst {
+        self.inst
+    }
+}
+
+/// Operands per arena chunk (160 KiB).
+///
+/// The arena grows a chunk at a time rather than as one `Vec` doubling
+/// beside the records: freed, two interleaved growing buffers are not
+/// reused from the allocator's free lists on the next run the way
+/// fixed-size chunks are, and the golden run then pays for fresh pages
+/// (DESIGN §16).
+const CHUNK: usize = 4096;
+
+/// A stored record: the instruction and where its operands sit in the
+/// arena. The offsets are `usize`s, which makes a record 112 bytes: with
+/// `u32`s (104 bytes) glibc trimmed the heap after every large analysis
+/// and the next one paid to fault its pages back in (DESIGN §16).
+#[derive(Debug, Clone, PartialEq)]
+struct Record {
+    inst: DynInst,
+    chunk: usize,
+    start: usize,
+    count: usize,
+}
+
 /// A complete dynamic trace of one (golden) run.
+///
+/// Records are stored in order, and their operands in one arena of
+/// fixed-size chunks: no record's operands straddle two chunks, and a
+/// record with more operands than a chunk holds gets a chunk of its own.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct Trace {
-    /// Executed instructions in order.
-    pub records: Vec<DynInst>,
+    records: Vec<Record>,
+    chunks: Vec<Vec<OperandRec>>,
+    /// Where the operands of the record being recorded start in the last
+    /// chunk.
+    open: usize,
 }
 
 impl Trace {
@@ -98,21 +144,110 @@ impl Trace {
     }
 
     /// Iterate over the records.
-    pub fn iter(&self) -> std::slice::Iter<'_, DynInst> {
-        self.records.iter()
+    pub fn iter(&self) -> TraceIter<'_> {
+        TraceIter {
+            trace: self,
+            records: self.records.iter(),
+        }
     }
 
     /// The record at dynamic index `idx`.
-    pub fn get(&self, idx: u64) -> Option<&DynInst> {
-        self.records.get(idx as usize)
+    pub fn get(&self, idx: u64) -> Option<DynInstRef<'_>> {
+        let r = self.records.get(usize::try_from(idx).ok()?)?;
+        Some(self.view(r))
+    }
+
+    /// Number of operands recorded, over all records.
+    pub fn operand_count(&self) -> usize {
+        self.chunks.iter().map(Vec::len).sum()
+    }
+
+    fn view<'a>(&'a self, r: &'a Record) -> DynInstRef<'a> {
+        let operands = match self.chunks.get(r.chunk) {
+            Some(c) => &c[r.start..][..r.count],
+            // No operand has been recorded yet, so the record has none.
+            None => &[],
+        };
+        DynInstRef {
+            inst: &r.inst,
+            operands,
+        }
+    }
+
+    /// Append an operand of the record being recorded, which [`Self::push`]
+    /// then closes. A call that crashes growing the stack ends the run
+    /// before its record is pushed; no record reads the operands it left.
+    pub(crate) fn push_operand(&mut self, op: OperandRec) {
+        match self.chunks.last_mut() {
+            // Room left, or the open record fills this chunk on its own
+            // and so grows it.
+            Some(c) if c.len() < c.capacity() || self.open == 0 => c.push(op),
+            // Full: the open record's operands move to a fresh chunk.
+            Some(c) => {
+                let mut fresh = Vec::with_capacity(CHUNK);
+                fresh.extend(c.drain(self.open..));
+                fresh.push(op);
+                self.chunks.push(fresh);
+                self.open = 0;
+            }
+            None => {
+                let mut fresh = Vec::with_capacity(CHUNK);
+                fresh.push(op);
+                self.chunks.push(fresh);
+            }
+        }
+    }
+
+    /// Append a record whose operands are those pushed since the last
+    /// record.
+    pub(crate) fn push(&mut self, inst: DynInst) {
+        let end = self.chunks.last().map_or(0, Vec::len);
+        self.records.push(Record {
+            inst,
+            chunk: self.chunks.len().saturating_sub(1),
+            start: self.open,
+            count: end - self.open,
+        });
+        self.open = end;
+    }
+
+    /// Set the result of record `idx` (a phi's, known once its batch
+    /// commits).
+    pub(crate) fn set_result(&mut self, idx: usize, result: (ValueId, u64, DynValueId)) {
+        self.records[idx].inst.result = Some(result);
+    }
+}
+
+/// Iterator over a [`Trace`]'s records, from [`Trace::iter`].
+#[derive(Debug, Clone)]
+pub struct TraceIter<'a> {
+    trace: &'a Trace,
+    records: std::slice::Iter<'a, Record>,
+}
+
+impl<'a> Iterator for TraceIter<'a> {
+    type Item = DynInstRef<'a>;
+    fn next(&mut self) -> Option<DynInstRef<'a>> {
+        let r = self.records.next()?;
+        Some(self.trace.view(r))
+    }
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.records.size_hint()
+    }
+}
+
+impl DoubleEndedIterator for TraceIter<'_> {
+    fn next_back(&mut self) -> Option<Self::Item> {
+        let r = self.records.next_back()?;
+        Some(self.trace.view(r))
     }
 }
 
 impl<'a> IntoIterator for &'a Trace {
-    type Item = &'a DynInst;
-    type IntoIter = std::slice::Iter<'a, DynInst>;
-    fn into_iter(self) -> Self::IntoIter {
-        self.records.iter()
+    type Item = DynInstRef<'a>;
+    type IntoIter = TraceIter<'a>;
+    fn into_iter(self) -> TraceIter<'a> {
+        self.iter()
     }
 }
 
@@ -163,7 +298,6 @@ mod tests {
             sid: StaticInstId(sid),
             func: FuncId(0),
             result: None,
-            operands: vec![],
             mem: None,
         }
     }
@@ -171,9 +305,10 @@ mod tests {
     #[test]
     fn section_runs_tile_the_trace() {
         // sections: sid 0,1 → 0; sid 2 → 1
-        let t = Trace {
-            records: vec![rec(0, 0), rec(1, 1), rec(2, 2), rec(3, 2), rec(4, 0)],
-        };
+        let mut t = Trace::default();
+        for (idx, sid) in [0, 1, 2, 2, 0].into_iter().enumerate() {
+            t.push(rec(idx as u64, sid));
+        }
         let runs = section_runs(&t, |sid| if sid.index() < 2 { 0 } else { 1 });
         assert_eq!(
             runs,
@@ -212,14 +347,7 @@ mod tests {
     fn trace_container_basics() {
         let mut t = Trace::default();
         assert!(t.is_empty());
-        t.records.push(DynInst {
-            idx: 0,
-            sid: StaticInstId(3),
-            func: FuncId(0),
-            result: None,
-            operands: vec![],
-            mem: None,
-        });
+        t.push(rec(0, 3));
         assert_eq!(t.len(), 1);
         assert_eq!(t.get(0).map(|r| r.sid), Some(StaticInstId(3)));
         assert!(t.get(1).is_none());

@@ -334,7 +334,7 @@ fn trace_records_values_and_deps() {
     // same dynamic id.
     let mut defs = std::collections::HashMap::new();
     for rec in &trace {
-        for op in &rec.operands {
+        for op in rec.operands {
             if let Some(src) = op.src {
                 if let Some(v) = defs.get(&src) {
                     assert_eq!(*v, op.bits, "dyn value changed between def and use");
@@ -369,7 +369,7 @@ fn trace_mem_snapshots_present() {
         .golden_run("main", &[])
         .expect("setup ok");
     let t = r.trace.expect("trace");
-    let mems: Vec<_> = t.iter().filter_map(|rec| rec.mem.as_ref()).collect();
+    let mems: Vec<_> = t.iter().filter_map(|rec| rec.inst.mem.as_ref()).collect();
     assert_eq!(mems.len(), 2);
     assert!(mems[0].is_store);
     assert!(!mems[1].is_store);

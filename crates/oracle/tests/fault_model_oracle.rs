@@ -116,7 +116,6 @@ fn first_dyn_at(campaign: &Campaign<'_>, sid: StaticInstId) -> u64 {
         .trace
         .as_ref()
         .expect("golden is traced")
-        .records
         .iter()
         .find(|r| r.sid == sid)
         .expect("planted instruction executes")
