@@ -31,7 +31,7 @@ use epvf_llfi::{
 };
 use epvf_oracle::{
     calibrate, differential_check, hard_invariant_scan, outcome_label, parse_repro, replay_repro,
-    sweep, write_repros, ReproContext,
+    sweep, write_repros, ReplayError, ReproContext,
 };
 use epvf_protect::{plan_protection, rank_instructions, RankingStrategy};
 use epvf_telemetry::{MetricsReport, Progress};
@@ -93,10 +93,6 @@ enum CliError {
     /// Exit 8 — oracle hard-invariant violation or repro replay
     /// divergence.
     Oracle(String),
-    /// Exit 9 — a supervised sharded campaign lost shard(s) past their
-    /// retry budget and `--allow-partial` salvaged the rest: the summary
-    /// and metrics were written, but over a subset of the draw.
-    Partial(String),
     /// Exit 0, quietly — the reader of stdout closed it (`epvf … | head`),
     /// so the command stops writing.
     StdoutClosed,
@@ -125,7 +121,6 @@ impl CliError {
             CliError::Io(_) => 6,
             CliError::Metrics(_) => 7,
             CliError::Oracle(_) => 8,
-            CliError::Partial(_) => 9,
             CliError::StdoutClosed => 0,
         }
     }
@@ -138,8 +133,7 @@ impl CliError {
             | CliError::Campaign(m)
             | CliError::Io(m)
             | CliError::Metrics(m)
-            | CliError::Oracle(m)
-            | CliError::Partial(m) => m,
+            | CliError::Oracle(m) => m,
             CliError::StdoutClosed => "stdout closed",
         }
     }
@@ -191,9 +185,6 @@ fn main() -> ExitCode {
             Some("inject") => with_target(&args, cmd_inject),
             Some("shard") => with_target(&args, executor::cmd_shard),
             Some("merge") => with_target(&args, executor::cmd_merge),
-            // Takes the raw spec token (workers receive it verbatim),
-            // so it does not go through `with_target`.
-            Some("run-sharded") => executor::cmd_run_sharded(args.get(1..).unwrap_or(&[])),
             Some("oracle") => cmd_oracle(args.get(1..).unwrap_or(&[])),
             Some("protect") => with_target(&args, cmd_protect),
             Some("metrics-check") => cmd_metrics_check(args.get(1..).unwrap_or(&[])),
@@ -436,43 +427,13 @@ usage: epvf <command> [args]
                                partition geometry
     --resume                   recover FILE and run only the missing slice
     (other inject flags as above; --sample is not shardable)
-  run-sharded <target> [N] [SEED] --shards S
-                               run a whole sharded campaign under the
-                               fault-tolerant supervisor: S concurrent
-                               `epvf shard` workers over scratch WALs,
-                               crash/hang recovery by restart-from-WAL,
-                               merged stdout byte-identical to the
-                               single-process `epvf inject`
-    --shard-retries N          restarts allowed per shard (default 2)
-    --stall-timeout-ms MS      kill a worker whose WAL has not grown for
-                               MS (heartbeat = WAL file growth; size it
-                               to cover the worker's golden-run startup)
-    --shard-deadline-ms MS     kill a worker attempt running longer than
-                               MS in total
-    --backoff-ms MS            base of the jittered exponential restart
-                               backoff (default 50)
-    --allow-partial            when a shard exhausts its retries, salvage
-                               completed shards + the failed shard's WAL
-                               prefix, print a `partial:` line, exit 9
-    --work-dir DIR             keep shard WALs + stderr captures in DIR
-                               (default: a temp dir, removed on exit)
-    --counters-out FILE        write the merged campaign's
-                               llfi.campaign.runs_* class counters
-                               (derived from the WAL union, so they match
-                               the single-process run byte-for-byte)
-    --chaos kill:P,stop:P[,seed:S][,max:N][,halt:I]
-                               test-only fault injection into the
-                               supervisor loop itself: SIGKILL/SIGSTOP
-                               running workers with per-tick probability
-                               P (halt:I kills shard I at every spawn)
-    (other inject flags as above; --wal/--resume/--sample are owned by
-    the supervisor and rejected)
   merge <target> [N] [SEED]    fold shard WALs into the full aggregate;
                                stdout is byte-identical to the equivalent
                                single-process `epvf inject`
     --wal FILE                 one per shard (the shard count is the number
-                               of --wal flags); incomplete, foreign, or
-                               duplicated shard sets exit 4
+                               of --wal flags); incomplete, foreign,
+                               duplicated, or torn shard sets exit 4;
+                               merge only reads the WALs
     --metrics-in FILE          per-shard --metrics-out snapshots to fold
                                with the snapshot merge algebra
     --metrics-merged FILE      write the folded snapshot (requires
@@ -482,7 +443,10 @@ usage: epvf <command> [args]
     --limit N                  subsample the sweep to ~N runs (0 = all)
     --max-repros K             disagreement repros to keep (default 8)
     --repro-dir DIR            write replayable .repro files to DIR
-    --replay FILE              re-execute one .repro file instead
+    --replay FILE              re-execute one .repro file instead, under
+                               the fault model it records; a spec that is
+                               not one of the program's injection points
+                               exits 4
     --calibrate W              also run an adaptive sampled campaign with
                                CI target W and check its estimates
                                bracket the exhaustive truth (exit 8 when
@@ -510,17 +474,10 @@ exit codes:
   4  invalid input file (IR parse/verify, bad repro, foreign WAL, shard
      WAL resumed or merged under the wrong --index/--of geometry,
      incomplete or duplicated shard set)
-  5  campaign setup failure (golden run failed, no injectable sites), or
-     a supervised shard worker failed past its retry budget without
-     --allow-partial — whether it crashed (signal), failed (nonzero
-     exit), or hung (stall / deadline kill); the supervisor log line on
-     stderr names which
+  5  campaign setup failure (golden run failed, no injectable sites)
   6  I/O error
   7  metrics validation failure (schema or conservation law)
   8  oracle violation (hard invariant, or replay diverged)
-  9  partial sharded campaign: --allow-partial salvaged the completed
-     shards plus the failed shard's WAL prefix; the summary and the
-     `partial:` line cover the salvaged subset only
 ";
 
 /// Resolved target: a module plus how to run it.
@@ -1023,7 +980,12 @@ fn cmd_oracle(rest: &[String]) -> Result<(), CliError> {
     if let Some(path) = replay {
         let text = read_text(&path)?;
         let repro = parse_repro(&text).map_err(CliError::input)?;
-        let outcome = replay_repro(&repro).map_err(CliError::campaign)?;
+        // A spec outside the program's injection space did not come from
+        // this program: the file is malformed, not the campaign.
+        let outcome = replay_repro(&repro).map_err(|e| match e {
+            ReplayError::Campaign(_) => CliError::campaign(e),
+            ReplayError::OutsideSpace { .. } => CliError::input(e),
+        })?;
         let observed = outcome_label(outcome);
         outln!("repro     : {path}")?;
         outln!("spec      : {}", repro.spec)?;
@@ -1098,11 +1060,19 @@ fn cmd_oracle(rest: &[String]) -> Result<(), CliError> {
             module: &t.module,
             entry: Workload::ENTRY,
             args: &t.args,
+            model: &model_name,
             trace,
+        };
+        // A non-default model names the files too, so sweeps of one
+        // program under two models can share a directory.
+        let prefix = if model_name == epvf_core::DEFAULT_MODEL {
+            t.label.clone()
+        } else {
+            format!("{}-{model_name}", t.label)
         };
         let paths = write_repros(
             std::path::Path::new(&dir),
-            &t.label.replace([':', '/'], "-"),
+            &prefix.replace([':', '/'], "-"),
             &ctx,
             &report.disagreements,
         )

@@ -1,5 +1,4 @@
-//! The campaign summary block shared by `epvf inject`, `epvf merge` and
-//! `epvf run-sharded`.
+//! The campaign summary block shared by `epvf inject` and `epvf merge`.
 //!
 //! The byte-identical-aggregates contract is enforced on this exact text:
 //! a merged N-shard campaign must render the same bytes as the

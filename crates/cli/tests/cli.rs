@@ -113,7 +113,7 @@ fn ir_paths_with_a_colon_resolve_as_files() {
 }
 
 /// Every command rejects an argument it does not take, before any work
-/// runs; `serve` is no longer a command.
+/// runs; a deleted command is an unknown one.
 #[test]
 fn stray_arguments_are_usage_errors() {
     for (args, message) in [
@@ -136,6 +136,10 @@ fn stray_arguments_are_usage_errors() {
             "unexpected argument `0.3`",
         ),
         (&["serve", "--socket", "x"][..], "unknown command `serve`"),
+        (
+            &["run-sharded", "lud:tiny", "400", "7", "--shards", "2"][..],
+            "unknown command `run-sharded`",
+        ),
         (
             &["oracle", "lud:tiny", "pathfinder:tiny", "--limit", "50"][..],
             "unexpected argument `pathfinder:tiny`",
@@ -217,6 +221,67 @@ fn non_utf8_files_are_malformed_input() {
         assert_eq!(out.status.code(), Some(code), "args {args:?}: {stderr}");
         assert!(stderr.contains(in_stderr), "args {args:?}: {stderr}");
         assert!(stdout.contains(in_stdout), "args {args:?}: {stdout}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A repro's spec must name one of the program's injection points: a bit
+/// at or past its site's width, or a site past the end of the trace, is
+/// malformed input (exit 4), not a fault to replay.
+#[test]
+fn repro_specs_outside_the_injection_space_are_malformed_input() {
+    let dir = std::env::temp_dir().join(format!("epvf-cli-space-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let dir_arg = dir.to_str().expect("utf8");
+    let (stdout, stderr, ok) = epvf(&[
+        "oracle",
+        "lud:tiny",
+        "--limit",
+        "300",
+        "--max-repros",
+        "1",
+        "--repro-dir",
+        dir_arg,
+    ]);
+    assert!(ok, "{stderr}");
+    assert!(stdout.contains("repros    : 1 file(s)"), "{stdout}");
+    let repro = std::fs::read_dir(&dir)
+        .expect("repro dir")
+        .next()
+        .expect("one repro")
+        .expect("dir entry")
+        .path();
+    let text = std::fs::read_to_string(&repro).expect("readable");
+    let spec = text
+        .lines()
+        .find_map(|l| l.strip_prefix("# spec: "))
+        .expect("spec line");
+    let mut coords = spec.split(':');
+    let (dyn_idx, slot) = (coords.next().expect("dyn"), coords.next().expect("slot"));
+    let edited = dir.join("edited.repro");
+    let edited = edited.to_str().expect("utf8");
+    for (bad, why) in [
+        (
+            format!("{dyn_idx}:{slot}:64"),
+            format!("site {dyn_idx}:{slot} has width"),
+        ),
+        (
+            "99999999:0:1".to_owned(),
+            "no injection site 99999999:0".to_owned(),
+        ),
+    ] {
+        let body = text.replace(&format!("# spec: {spec}\n"), &format!("# spec: {bad}\n"));
+        std::fs::write(edited, body).expect("write");
+        let out = Command::new(env!("CARGO_BIN_EXE_epvf"))
+            .args(["oracle", "--replay", edited])
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(4), "spec {bad}: {stderr}");
+        assert!(
+            stderr.contains(&format!("spec {bad}")) && stderr.contains(&why),
+            "spec {bad}: {stderr}"
+        );
     }
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -151,3 +151,45 @@ fn oracle_accepts_fault_models() {
     assert!(base.contains("model     : wrong-branch"));
     check_snapshot("oracle-mm-tiny-wrong-branch.txt", &base);
 }
+
+/// A repro file records its fault model, so `oracle --replay` re-runs
+/// the fault under the model that found it; the file names carry the
+/// model too, so two models' sweeps can share one directory.
+#[test]
+fn fault_model_repros_replay_under_their_model() {
+    let dir = std::env::temp_dir().join(format!("epvf-fm-repros-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let dir_arg = dir.to_str().expect("utf8");
+    let mut written = 0;
+    for model in ["skip", "wrong-branch"] {
+        let out = run_epvf(&[
+            "oracle",
+            "lud:tiny",
+            "--fault-model",
+            model,
+            "--repro-dir",
+            dir_arg,
+        ]);
+        written += out
+            .lines()
+            .find_map(|l| l.strip_prefix("repros    : "))
+            .and_then(|l| l.split_whitespace().next())
+            .and_then(|n| n.parse::<usize>().ok())
+            .unwrap_or_else(|| panic!("no repro count in:\n{out}"));
+    }
+    assert!(written > 0, "the sweeps found nothing to replay");
+    let files: Vec<_> = std::fs::read_dir(&dir)
+        .expect("repro dir")
+        .map(|e| e.expect("dir entry").path())
+        .collect();
+    assert_eq!(files.len(), written, "one file per repro: {files:?}");
+    for file in &files {
+        let out = run_epvf(&["oracle", "--replay", file.to_str().expect("utf8")]);
+        assert!(
+            out.contains("verdict   : reproduced"),
+            "{}: {out}",
+            file.display()
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -204,6 +204,27 @@ fn incomplete_or_duplicated_shard_sets_exit_4() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// `epvf merge` only reads its inputs: a shard WAL with a torn tail is
+/// rejected (exit 4) and left as it was, torn bytes and all.
+#[test]
+fn merge_rejects_a_torn_wal_without_changing_it() {
+    let dir = tmpdir("torn");
+    let wals = run_shards(&dir, 2);
+    let mut torn = std::fs::read(&wals[1]).expect("shard 1 WAL");
+    torn.extend_from_slice(b"garbagegarb");
+    std::fs::write(&wals[1], &torn).expect("tear shard 1 WAL");
+
+    let r = epvf(&merge_args(&wals));
+    assert_eq!(r.code, 4, "{}", r.stderr);
+    assert!(r.stderr.contains("1 torn record(s)"), "{}", r.stderr);
+    assert_eq!(
+        std::fs::read(&wals[1]).expect("shard 1 WAL"),
+        torn,
+        "merge must not change the WALs it reads"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// `epvf inject --wal` is the whole-campaign slice, shard 0 of 1: with
 /// one thread both commands write byte-identical WALs, and each resumes
 /// the other's log to its own uninterrupted output.

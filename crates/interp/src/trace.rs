@@ -103,13 +103,13 @@ impl Deref for DynInstRef<'_> {
 /// beside the records: freed, two interleaved growing buffers are not
 /// reused from the allocator's free lists on the next run the way
 /// fixed-size chunks are, and the golden run then pays for fresh pages
-/// (DESIGN §16).
+/// (DESIGN §15).
 const CHUNK: usize = 4096;
 
 /// A stored record: the instruction and where its operands sit in the
 /// arena. The offsets are `usize`s, which makes a record 112 bytes: with
 /// `u32`s (104 bytes) glibc trimmed the heap after every large analysis
-/// and the next one paid to fault its pages back in (DESIGN §16).
+/// and the next one paid to fault its pages back in (DESIGN §15).
 #[derive(Debug, Clone, PartialEq)]
 struct Record {
     inst: DynInst,

@@ -59,7 +59,7 @@ impl InjOutcome {
     /// The outcome-class counter this classification lands in. The seven
     /// classes partition `llfi.campaign.runs_total` — the conservation law
     /// `epvf metrics-check` enforces.
-    pub fn counter(self) -> Ctr {
+    pub(crate) fn counter(self) -> Ctr {
         match self {
             InjOutcome::Benign => Ctr::CampaignRunsBenign,
             InjOutcome::Sdc => Ctr::CampaignRunsSdc,

@@ -165,8 +165,9 @@ impl Campaign<'_> {
 
     /// Render a quarantined run as a replayable repro file in the format
     /// `epvf oracle --replay` consumes: a `#`-prefixed header carrying the
-    /// entry, args, and `dyn:slot:bit` spec, a `---` separator, then the
-    /// full module text.
+    /// entry, args, fault model (unless it is the default single-bit
+    /// flip), and `dyn:slot:bit` spec, a `---` separator, then the full
+    /// module text.
     pub fn render_quarantine_repro(&self, q: &QuarantineRecord) -> String {
         let mut head = String::new();
         head.push_str("# epvf-oracle repro v1\n");
@@ -174,6 +175,10 @@ impl Campaign<'_> {
         head.push_str(&format!("# entry: {}\n", self.entry()));
         let args: Vec<String> = self.args().iter().map(u64::to_string).collect();
         head.push_str(&format!("# args: {}\n", args.join(" ")));
+        let model = self.model().name();
+        if model != epvf_core::DEFAULT_MODEL {
+            head.push_str(&format!("# model: {model}\n"));
+        }
         head.push_str(&format!("# spec: {}\n", q.spec));
         head.push_str("# kind: quarantine\n");
         head.push_str("# observed: quarantined\n");

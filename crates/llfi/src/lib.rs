@@ -47,7 +47,6 @@ mod sampler;
 mod shard;
 mod site;
 mod stats;
-mod supervisor;
 mod wal;
 
 pub use accuracy::{
@@ -63,10 +62,6 @@ pub use sampler::{
 pub use shard::{MergeError, ShardOutcomes, ShardSpec};
 pub use site::{injectable_operand, InjectionSite, SiteTable};
 pub use stats::{ci95, clopper_pearson95, clopper_pearson_f, geomean, mean, wilson95_f};
-pub use supervisor::{
-    backoff_delay, supervise, ChaosConfig, Event as SupervisorEvent, FailureKind, ShardOutcome,
-    ShardPlan, SupervisorConfig, SupervisorReport,
-};
 pub use wal::{
     read_wal_fingerprint, wal_fingerprint, wal_fingerprint_shard, CampaignKey, Draw, RecoveredWal,
     WalError, WalSink, WAL_MAGIC,

@@ -245,42 +245,6 @@ impl ShardOutcomes {
             quarantines: Vec::new(),
         })
     }
-
-    /// Salvage merge: like [`Self::into_result`] but tolerating gaps.
-    /// Covered indices must still carry exactly the drawn spec and stay
-    /// in range — a salvage is a *prefix of the truth*, never a guess —
-    /// and the returned result holds only the runs actually recovered,
-    /// alongside the count of specs that stayed missing. Used by
-    /// `epvf run-sharded --allow-partial` when a shard exhausted its
-    /// retry budget and only its WAL prefix survives.
-    ///
-    /// # Errors
-    /// [`MergeError::OutOfRange`] or [`MergeError::SpecMismatch`];
-    /// never [`MergeError::Incomplete`] (gaps are the point).
-    pub fn into_partial_result(
-        self,
-        specs: &[InjectionSpec],
-    ) -> Result<(CampaignResult, usize), MergeError> {
-        let want = specs.len();
-        if let Some((&index, _)) = self.outcomes.range(want..).next() {
-            return Err(MergeError::OutOfRange { index, n: want });
-        }
-        let mut runs = Vec::with_capacity(self.outcomes.len());
-        for (&index, &(spec, outcome)) in &self.outcomes {
-            if spec != specs[index] {
-                return Err(MergeError::SpecMismatch { index });
-            }
-            runs.push((spec, outcome));
-        }
-        let missing = want - runs.len();
-        Ok((
-            CampaignResult {
-                runs,
-                quarantines: Vec::new(),
-            },
-            missing,
-        ))
-    }
 }
 
 #[cfg(test)]
@@ -388,31 +352,6 @@ mod tests {
         assert!(matches!(
             wrong.into_result(&specs),
             Err(MergeError::SpecMismatch { index: 1 })
-        ));
-    }
-
-    #[test]
-    fn into_partial_result_salvages_gaps_but_not_lies() {
-        let specs = [spec(1, 0, 0), spec(2, 0, 1), spec(3, 1, 2)];
-        // A gap at index 1 is salvageable...
-        let partial = outcomes(&[
-            (0, specs[0], InjOutcome::Benign),
-            (2, specs[2], InjOutcome::Sdc),
-        ]);
-        let (result, missing) = partial.into_partial_result(&specs).unwrap();
-        assert_eq!(result.n(), 2);
-        assert_eq!(missing, 1);
-        assert_eq!(result.runs[1], (specs[2], InjOutcome::Sdc));
-        // ...but wrong content still fails exactly like `into_result`.
-        let wrong = outcomes(&[(0, spec(7, 7, 7), InjOutcome::Benign)]);
-        assert!(matches!(
-            wrong.into_partial_result(&specs),
-            Err(MergeError::SpecMismatch { index: 0 })
-        ));
-        let extra = outcomes(&[(5, specs[0], InjOutcome::Benign)]);
-        assert!(matches!(
-            extra.into_partial_result(&specs),
-            Err(MergeError::OutOfRange { index: 5, n: 3 })
         ));
     }
 }

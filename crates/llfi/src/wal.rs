@@ -44,23 +44,6 @@ pub const WAL_MAGIC: &[u8; 8] = b"EPVFWAL1";
 /// Flush to the OS after this many buffered records.
 const FLUSH_BATCH: usize = 64;
 
-/// The effective flush batch: [`FLUSH_BATCH`] unless overridden by the
-/// `EPVF_WAL_FLUSH_BATCH` environment variable (clamped to ≥ 1). The
-/// shard supervisor sets a small value in its workers so WAL file
-/// growth doubles as a fine-grained liveness heartbeat; everything else
-/// keeps the amortized default.
-fn flush_batch() -> usize {
-    use std::sync::OnceLock;
-    static BATCH: OnceLock<usize> = OnceLock::new();
-    *BATCH.get_or_init(|| {
-        std::env::var("EPVF_WAL_FLUSH_BATCH")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&n| n >= 1)
-            .unwrap_or(FLUSH_BATCH)
-    })
-}
-
 /// Which runs a campaign executes.
 #[derive(Debug, Clone, Copy)]
 pub enum Draw<'a> {
@@ -306,7 +289,7 @@ impl From<io::Error> for WalError {
     }
 }
 
-/// Outcomes salvaged from an existing WAL by [`WalSink::recover`].
+/// Outcomes salvaged from an existing WAL by [`RecoveredWal::read`].
 #[derive(Debug, Default)]
 pub struct RecoveredWal {
     /// `spec-list index -> (spec, outcome)` for every intact record
@@ -320,6 +303,53 @@ pub struct RecoveredWal {
     /// Byte offset of the end of the last intact record — the resume
     /// point the file is truncated to before appending continues.
     pub valid_len: u64,
+}
+
+impl RecoveredWal {
+    /// Read the WAL at `path` without changing it: verify magic and
+    /// fingerprint, then scan intact records, stopping at the first torn
+    /// or checksum-failing frame. `epvf merge` reads shard logs this way;
+    /// [`WalSink::recover`] reads, then truncates and appends.
+    ///
+    /// # Errors
+    /// [`WalError::BadMagic`] / [`WalError::TruncatedHeader`] for files
+    /// that are not WALs, [`WalError::FingerprintMismatch`] when the log
+    /// belongs to a different campaign, and [`WalError::Io`] on
+    /// filesystem failures.
+    pub fn read(path: &Path, fingerprint: u64) -> Result<RecoveredWal, WalError> {
+        let mut bytes = Vec::new();
+        File::open(path)?.read_to_end(&mut bytes)?;
+        let found = decode_header(&bytes)?;
+        if found != fingerprint {
+            return Err(WalError::FingerprintMismatch {
+                expected: fingerprint,
+                found,
+            });
+        }
+
+        let mut rec = RecoveredWal {
+            valid_len: HEADER_LEN as u64,
+            ..RecoveredWal::default()
+        };
+        let mut pos = HEADER_LEN;
+        while pos < bytes.len() {
+            // A torn or corrupt frame drops everything from it on: its
+            // length prefix cannot be trusted to find the next one.
+            let Some(((index, spec, outcome), framed)) = decode_record(&bytes[pos..]) else {
+                rec.torn += 1;
+                break;
+            };
+            if rec.outcomes.insert(index, (spec, outcome)).is_some() {
+                rec.duplicates += 1;
+            }
+            pos += framed;
+            rec.valid_len = pos as u64;
+        }
+        epvf_telemetry::add(Ctr::WalRecordsRecovered, rec.outcomes.len() as u64);
+        epvf_telemetry::add(Ctr::WalRecordsTorn, rec.torn);
+        epvf_telemetry::add(Ctr::WalDuplicatesDropped, rec.duplicates);
+        Ok(rec)
+    }
 }
 
 fn encode_outcome(o: InjOutcome) -> (u8, u8) {
@@ -486,49 +516,13 @@ impl WalSink {
         }
     }
 
-    /// Recover an existing WAL: verify magic and fingerprint, scan intact
-    /// records (stopping at the first torn or checksum-failing frame),
-    /// truncate the file back to the last intact record, and reopen it
-    /// for appending.
+    /// Recover an existing WAL: [`RecoveredWal::read`] it, truncate the
+    /// file back to the last intact record, and reopen it for appending.
     ///
     /// # Errors
-    /// [`WalError::BadMagic`] / [`WalError::TruncatedHeader`] for files
-    /// that are not WALs, [`WalError::FingerprintMismatch`] when the log
-    /// belongs to a different campaign, and [`WalError::Io`] on
-    /// filesystem failures.
+    /// As [`RecoveredWal::read`].
     pub fn recover(path: &Path, fingerprint: u64) -> Result<(WalSink, RecoveredWal), WalError> {
-        let mut bytes = Vec::new();
-        File::open(path)?.read_to_end(&mut bytes)?;
-        let found = decode_header(&bytes)?;
-        if found != fingerprint {
-            return Err(WalError::FingerprintMismatch {
-                expected: fingerprint,
-                found,
-            });
-        }
-
-        let mut rec = RecoveredWal {
-            valid_len: HEADER_LEN as u64,
-            ..RecoveredWal::default()
-        };
-        let mut pos = HEADER_LEN;
-        while pos < bytes.len() {
-            // A torn or corrupt frame drops everything from it on: its
-            // length prefix cannot be trusted to find the next one.
-            let Some(((index, spec, outcome), framed)) = decode_record(&bytes[pos..]) else {
-                rec.torn += 1;
-                break;
-            };
-            if rec.outcomes.insert(index, (spec, outcome)).is_some() {
-                rec.duplicates += 1;
-            }
-            pos += framed;
-            rec.valid_len = pos as u64;
-        }
-        epvf_telemetry::add(Ctr::WalRecordsRecovered, rec.outcomes.len() as u64);
-        epvf_telemetry::add(Ctr::WalRecordsTorn, rec.torn);
-        epvf_telemetry::add(Ctr::WalDuplicatesDropped, rec.duplicates);
-
+        let rec = RecoveredWal::read(path, fingerprint)?;
         let file = OpenOptions::new().append(true).open(path)?;
         file.set_len(rec.valid_len)?;
         Ok((WalSink::over(path, file), rec))
@@ -540,8 +534,7 @@ impl WalSink {
     }
 
     /// Append one completed run. Buffered; flushed every
-    /// `FLUSH_BATCH` records (or every `EPVF_WAL_FLUSH_BATCH` when
-    /// that environment override is set — see `flush_batch`).
+    /// `FLUSH_BATCH` records.
     pub fn append(&self, index: usize, spec: InjectionSpec, outcome: InjOutcome) {
         let payload = encode_payload(index, spec, outcome);
         let mut inner = self.inner.lock().unwrap_or_else(|p| p.into_inner());
@@ -554,7 +547,7 @@ impl WalSink {
             .extend_from_slice(&fnv1a32(&payload).to_le_bytes());
         inner.pending += 1;
         epvf_telemetry::add(Ctr::WalRecordsAppended, 1);
-        if inner.pending >= flush_batch() {
+        if inner.pending >= FLUSH_BATCH {
             inner.flush_locked(false);
         }
     }
@@ -658,8 +651,13 @@ mod tests {
         drop(sink);
         // Tear the last record in half.
         let full = std::fs::read(&p).unwrap();
-        std::fs::write(&p, &full[..full.len() - 5]).unwrap();
+        let torn = &full[..full.len() - 5];
+        std::fs::write(&p, torn).unwrap();
 
+        // Reading leaves the file as it was; recovering truncates it.
+        let read = RecoveredWal::read(&p, 1).unwrap();
+        assert_eq!((read.outcomes.len(), read.torn), (1, 1));
+        assert_eq!(std::fs::read(&p).unwrap(), torn);
         let (_sink, rec) = WalSink::recover(&p, 1).unwrap();
         assert_eq!(rec.outcomes.len(), 1);
         assert_eq!(rec.torn, 1);

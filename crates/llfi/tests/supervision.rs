@@ -172,9 +172,30 @@ fn quarantine_repro_uses_the_oracle_format() {
     let fi = campaign.run(1, 2);
     let q = &fi.quarantines[0];
     let repro = campaign.render_quarantine_repro(q);
+    assert!(
+        !repro.contains("# model:"),
+        "a bit-flip repro names no model"
+    );
     let parsed = epvf_oracle::parse_repro(&repro).expect("repro parses");
     assert_eq!(parsed.module.to_string(), m.to_string());
     assert_eq!(parsed.spec, q.spec);
+
+    // Under another fault model the repro names it, and parses back to it.
+    let burst = Campaign::with_model(
+        &m,
+        "main",
+        &[],
+        CampaignConfig {
+            poison_at: Some(0),
+            ..CampaignConfig::default()
+        },
+        epvf_core::parse_fault_model("burst:2").expect("a shipped model"),
+    )
+    .expect("golden");
+    let text = burst.render_quarantine_repro(&burst.run(1, 2).quarantines[0]);
+    assert!(text.contains("\n# model: burst:2\n"), "{text}");
+    let parsed = epvf_oracle::parse_repro(&text).expect("repro parses");
+    assert_eq!(parsed.model.name(), "burst:2");
 
     let dir = tmpdir("repro");
     let paths = campaign

@@ -46,4 +46,6 @@ pub use diff::{
 };
 pub use generator::{GenConfig, GenOp, Recipe, BUF_LEN, N_BUFS};
 pub use ground_truth::{outcome_label, sweep, GroundTruth};
-pub use repro::{parse_repro, render_repro, replay_repro, write_repros, Repro, ReproContext};
+pub use repro::{
+    parse_repro, render_repro, replay_repro, write_repros, ReplayError, Repro, ReproContext,
+};

@@ -1,19 +1,23 @@
 //! Replayable repro files for oracle disagreements.
 //!
 //! A repro is a single self-contained text file: a `#`-prefixed header
-//! (workload label, entry, args, the `dyn:slot:bit` spec, observed outcome,
-//! the model's claim, and the injected static instruction as an IR snippet),
-//! a `---` separator, and the full module in textual IR. Feeding the file to
-//! `epvf oracle --replay <file>` re-executes exactly that flip and compares
-//! the outcome against the recorded one.
+//! (workload label, entry, args, the fault model unless it is the default
+//! `bitflip`, the `dyn:slot:bit` spec, observed outcome, the model's
+//! claim, and the injected static instruction as an IR snippet), a `---`
+//! separator, and the full module in textual IR. Feeding the file to
+//! `epvf oracle --replay <file>` re-executes exactly that fault under that
+//! model and compares the outcome against the recorded one.
 
 use crate::diff::Disagreement;
 use crate::ground_truth::outcome_label;
+use epvf_core::{default_fault_model, parse_fault_model, FaultModel, DEFAULT_MODEL};
 use epvf_interp::{InjectionSpec, Trace};
 use epvf_ir::{parse_module, Module};
-use epvf_llfi::{Campaign, CampaignConfig, InjOutcome};
+use epvf_llfi::{Campaign, CampaignConfig, CampaignError, InjOutcome};
+use std::fmt;
 use std::io;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 /// The run a disagreement came from, borrowed while rendering repros.
 #[derive(Debug, Clone, Copy)]
@@ -26,6 +30,9 @@ pub struct ReproContext<'a> {
     pub entry: &'a str,
     /// Entry arguments.
     pub args: &'a [u64],
+    /// Canonical name of the fault model the sweep ran under
+    /// ([`FaultModel::name`]).
+    pub model: &'a str,
     /// Golden trace (for the instruction snippet).
     pub trace: &'a Trace,
 }
@@ -39,7 +46,10 @@ pub struct Repro {
     pub entry: String,
     /// Entry arguments.
     pub args: Vec<u64>,
-    /// The flip.
+    /// The fault model the spec is injected under (`# model:`; the
+    /// default single-bit flip when the line is absent).
+    pub model: Arc<dyn FaultModel>,
+    /// The fault.
     pub spec: InjectionSpec,
     /// Outcome label recorded when the disagreement was found.
     pub observed: String,
@@ -53,6 +63,11 @@ pub fn render_repro(ctx: &ReproContext<'_>, d: &Disagreement) -> String {
     head.push_str(&format!("# entry: {}\n", ctx.entry));
     let args: Vec<String> = ctx.args.iter().map(u64::to_string).collect();
     head.push_str(&format!("# args: {}\n", args.join(" ")));
+    // Absent for the default single-bit flip, so bit-flip repros keep
+    // their bytes.
+    if ctx.model != DEFAULT_MODEL {
+        head.push_str(&format!("# model: {}\n", ctx.model));
+    }
     head.push_str(&format!("# spec: {}\n", d.spec));
     head.push_str(&format!("# kind: {}\n", d.kind.label()));
     head.push_str(&format!("# observed: {}\n", outcome_label(d.outcome)));
@@ -103,8 +118,8 @@ pub fn write_repros(
 /// Parse a repro file produced by [`render_repro`].
 ///
 /// # Errors
-/// Returns a message for a malformed header, missing separator, or IR that
-/// fails to parse.
+/// Returns a message for a malformed header (an unknown `# model:`
+/// included), missing separator, or IR that fails to parse.
 pub fn parse_repro(text: &str) -> Result<Repro, String> {
     let (head, body) = text
         .split_once("\n---\n")
@@ -123,29 +138,78 @@ pub fn parse_repro(text: &str) -> Result<Repro, String> {
         .split_whitespace()
         .map(|a| a.parse().map_err(|e| format!("bad arg `{a}`: {e}")))
         .collect::<Result<Vec<u64>, String>>()?;
+    let model = match field("model") {
+        Some(name) => parse_fault_model(name).map_err(|e| format!("repro `# model:`: {e}"))?,
+        None => default_fault_model(),
+    };
     let observed = field("observed").unwrap_or("?").to_string();
     let module = parse_module(body).map_err(|e| format!("repro IR: {e}"))?;
     Ok(Repro {
         module,
         entry,
         args,
+        model,
         spec,
         observed,
     })
 }
 
-/// Re-execute a repro's flip and classify it against a fresh golden run.
+/// Why a repro could not be replayed.
+#[derive(Debug)]
+pub enum ReplayError {
+    /// The repro's program has no campaign to replay in (its golden run
+    /// fails, or it has no injectable sites).
+    Campaign(CampaignError),
+    /// The spec names no injection point of the program under the
+    /// repro's model: no site at `(dyn_idx, slot)`, or a `bit` at or past
+    /// the site's width. The file did not come from this program.
+    OutsideSpace {
+        /// The rejected spec.
+        spec: InjectionSpec,
+        /// The width of the site at `(dyn_idx, slot)`, if there is one.
+        width: Option<u32>,
+    },
+}
+
+impl fmt::Display for ReplayError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ReplayError::Campaign(e) => write!(f, "{e}"),
+            ReplayError::OutsideSpace { spec, width } => {
+                write!(f, "spec {spec} lies outside the injection space: ")?;
+                let site = format!("{}:{}", spec.dyn_idx, spec.operand_slot);
+                match width {
+                    Some(w) => write!(f, "site {site} has width {w}"),
+                    None => write!(f, "the program has no injection site {site}"),
+                }
+            }
+        }
+    }
+}
+
+impl std::error::Error for ReplayError {}
+
+/// Re-execute a repro's fault under its model and classify it against a
+/// fresh golden run.
 ///
 /// # Errors
-/// Returns a message if the golden run fails (corrupt repro).
-pub fn replay_repro(repro: &Repro) -> Result<InjOutcome, String> {
-    let campaign = Campaign::new(
+/// [`ReplayError::Campaign`] if the golden run fails, and
+/// [`ReplayError::OutsideSpace`] if the spec is not one of the program's
+/// injection points.
+pub fn replay_repro(repro: &Repro) -> Result<InjOutcome, ReplayError> {
+    let campaign = Campaign::with_model(
         &repro.module,
         &repro.entry,
         &repro.args,
         CampaignConfig::default(),
+        Arc::clone(&repro.model),
     )
-    .map_err(|e| e.to_string())?;
-    let result = campaign.run_specs(std::slice::from_ref(&repro.spec));
+    .map_err(ReplayError::Campaign)?;
+    let spec = repro.spec;
+    match campaign.sites().width_of(spec.dyn_idx, spec.operand_slot) {
+        Some(w) if u32::from(spec.bit) < w => {}
+        width => return Err(ReplayError::OutsideSpace { spec, width }),
+    }
+    let result = campaign.run_specs(std::slice::from_ref(&spec));
     Ok(result.runs[0].1)
 }

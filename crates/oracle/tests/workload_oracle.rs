@@ -64,6 +64,7 @@ fn smallest_workloads_beat_the_acceptance_floor() {
             module: &w.module,
             entry: "main",
             args: &w.args,
+            model: epvf_core::DEFAULT_MODEL,
             trace,
         };
         let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join("oracle-repros");

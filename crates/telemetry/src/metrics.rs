@@ -202,23 +202,6 @@ define_counters! {
     // --- shard merge ---
     MergeShardWals => ("llfi.merge.shard_wals", Sum, false,
         "shard write-ahead logs folded into merged aggregates"),
-    // --- shard supervisor ---
-    SupervisorShards => ("supervisor.shards", Sum, false,
-        "shard slots a supervisor was asked to complete"),
-    SupervisorSpawned => ("supervisor.spawned", Sum, false,
-        "shard worker processes spawned (first attempts plus restarts)"),
-    SupervisorRestarts => ("supervisor.restarts", Sum, false,
-        "shard workers restarted from their WAL after a failure"),
-    SupervisorHangs => ("supervisor.hangs", Sum, false,
-        "shard workers killed by the supervisor for stalling or missing a deadline"),
-    SupervisorCrashes => ("supervisor.crashes", Sum, false,
-        "shard workers that died on a signal or a nonzero exit"),
-    SupervisorSalvagedRuns => ("supervisor.salvaged_runs", Sum, false,
-        "outcome records salvaged from failed shards' WAL prefixes under --allow-partial"),
-    SupervisorChaosKills => ("supervisor.chaos.kills", Sum, false,
-        "test-only chaos injections that SIGKILLed a worker"),
-    SupervisorChaosStops => ("supervisor.chaos.stops", Sum, false,
-        "test-only chaos injections that SIGSTOPped a worker"),
     // --- oracle ---
     OracleSweepFlips => ("oracle.sweep.flips", Sum, true,
         "ground-truth bit flips executed by oracle sweeps"),

@@ -302,38 +302,6 @@ impl MetricsSnapshot {
                 c("analyze.cache.misses")
             ),
         );
-        law(
-            // Every spawn is either a shard's first attempt or a restart.
-            sum(&["supervisor.shards", "supervisor.restarts"]) == Some(c("supervisor.spawned")),
-            format!(
-                "supervisor spawned {} workers, expected shards ({}) + restarts ({})",
-                c("supervisor.spawned"),
-                c("supervisor.shards"),
-                c("supervisor.restarts")
-            ),
-        );
-        law(
-            // Restarts only happen in response to an observed failure.
-            sum(&["supervisor.hangs", "supervisor.crashes"])
-                .is_some_and(|n| c("supervisor.restarts") <= n),
-            format!(
-                "supervisor restarted {} workers but observed only {} hangs + {} crashes",
-                c("supervisor.restarts"),
-                c("supervisor.hangs"),
-                c("supervisor.crashes")
-            ),
-        );
-        law(
-            // A worker must have been spawned before it can fail.
-            sum(&["supervisor.hangs", "supervisor.crashes"])
-                .is_some_and(|n| n <= c("supervisor.spawned")),
-            format!(
-                "supervisor observed {} hangs + {} crashes but spawned only {} workers",
-                c("supervisor.hangs"),
-                c("supervisor.crashes"),
-                c("supervisor.spawned")
-            ),
-        );
         let confusion = sum(&[
             "oracle.diff.true_positives",
             "oracle.diff.false_positives",
