@@ -246,7 +246,7 @@ pub(crate) fn cmd_shard(t: Target, rest: &[String]) -> Result<(), CliError> {
         summary::shard_summary(&t.label, opts.seed, shard, specs.len(), &campaign, &fi)
     )?;
     summary::finish_campaign(
-        &t.label,
+        &t.scaled_label(),
         &campaign,
         &fi,
         opts.quarantine_dir.as_deref(),
@@ -328,7 +328,7 @@ pub(crate) fn cmd_merge(t: Target, rest: &[String]) -> Result<(), CliError> {
         return Err(CliError::usage("--metrics-merged requires --metrics-in"));
     }
 
-    summary::finish_campaign(&t.label, &campaign, &fi, None, opts.max_unsound)
+    summary::finish_campaign(&t.scaled_label(), &campaign, &fi, None, opts.max_unsound)
 }
 
 /// Parse every line of every `--metrics-in` file and fold the snapshots

@@ -482,9 +482,25 @@ exit codes:
 
 /// Resolved target: a module plus how to run it.
 struct Target {
+    /// The benchmark's name or the IR file's path, as `target` lines print it.
     label: String,
+    /// The benchmark's scale; `None` for an IR file.
+    scale: Option<Scale>,
     module: Module,
     args: Vec<u64>,
+}
+
+impl Target {
+    /// The label with the scale (`lud:tiny`), as repro files carry it in
+    /// their names and `# label:` lines: a program's scales are different
+    /// programs, so their repros must neither share a name nor pass for
+    /// one another.
+    fn scaled_label(&self) -> String {
+        match self.scale {
+            Some(s) => format!("{}:{}", self.label, s.pick("tiny", "small", "standard")),
+            None => self.label.clone(),
+        }
+    }
 }
 
 fn resolve(spec: &str) -> Result<Target, CliError> {
@@ -502,6 +518,7 @@ fn resolve(spec: &str) -> Result<Target, CliError> {
     if let Some(w) = by_name(name, scale) {
         return Ok(Target {
             label: w.name.to_string(),
+            scale: Some(scale),
             module: w.module,
             args: w.args,
         });
@@ -512,6 +529,7 @@ fn resolve(spec: &str) -> Result<Target, CliError> {
             parse_module(&text).map_err(|e| CliError::input(format!("parsing {spec}: {e}")))?;
         return Ok(Target {
             label: spec.to_string(),
+            scale: None,
             module,
             args: vec![],
         });
@@ -805,7 +823,7 @@ fn cmd_inject(t: Target, rest: &[String]) -> Result<(), CliError> {
         summary::inject_summary(&t.label, opts.seed, &campaign, &res, &fi)
     )?;
     summary::finish_campaign(
-        &t.label,
+        &t.scaled_label(),
         &campaign,
         &fi,
         opts.quarantine_dir.as_deref(),
@@ -903,7 +921,7 @@ fn cmd_inject_sampled(t: &Target, campaign: &Campaign, opts: &InjectOpts) -> Res
 
     if let Some(dir) = &opts.quarantine_dir {
         if !report.quarantines.is_empty() {
-            let prefix = t.label.replace([':', '/'], "-");
+            let prefix = t.scaled_label().replace([':', '/'], "-");
             let paths = campaign
                 .write_quarantine_repros(dir, &prefix, &report.quarantines)
                 .map_err(|e| CliError::io(format!("writing quarantine repros: {e}")))?;
@@ -1055,8 +1073,9 @@ fn cmd_oracle(rest: &[String]) -> Result<(), CliError> {
         report.masked_sdc
     )?;
     if let Some(dir) = repro_dir {
+        let label = t.scaled_label();
         let ctx = ReproContext {
-            label: &t.label,
+            label: &label,
             module: &t.module,
             entry: Workload::ENTRY,
             args: &t.args,
@@ -1066,9 +1085,9 @@ fn cmd_oracle(rest: &[String]) -> Result<(), CliError> {
         // A non-default model names the files too, so sweeps of one
         // program under two models can share a directory.
         let prefix = if model_name == epvf_core::DEFAULT_MODEL {
-            t.label.clone()
+            label.clone()
         } else {
-            format!("{}-{model_name}", t.label)
+            format!("{label}-{model_name}")
         };
         let paths = write_repros(
             std::path::Path::new(&dir),

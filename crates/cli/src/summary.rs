@@ -122,7 +122,8 @@ pub(crate) fn shard_summary(
 }
 
 /// Shared tail of `inject`-style commands: write quarantine repros (when
-/// requested) and apply the graceful-degradation gate.
+/// requested), named from `label` with its scale, and apply the
+/// graceful-degradation gate.
 pub(crate) fn finish_campaign(
     label: &str,
     campaign: &Campaign<'_>,

@@ -286,6 +286,64 @@ fn repro_specs_outside_the_injection_space_are_malformed_input() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Repro files carry the target's scale in their names and `# label:`
+/// lines, so sweeps of one program at two scales can share a directory:
+/// neither overwrites the other's files, and each file replays.
+#[test]
+fn repros_of_two_scales_share_a_directory() {
+    let dir = std::env::temp_dir().join(format!("epvf-cli-scales-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let dir_arg = dir.to_str().expect("utf8");
+    for target in ["lud:tiny", "lud:small"] {
+        let (stdout, stderr, ok) = epvf(&[
+            "oracle",
+            target,
+            "--limit",
+            "300",
+            "--max-repros",
+            "2",
+            "--repro-dir",
+            dir_arg,
+        ]);
+        assert!(ok, "{stderr}");
+        assert!(stdout.contains("repros    : 2 file(s)"), "{stdout}");
+    }
+    let mut repros: Vec<_> = std::fs::read_dir(&dir)
+        .expect("repro dir")
+        .map(|e| e.expect("dir entry").path())
+        .collect();
+    repros.sort();
+    let names: Vec<_> = repros
+        .iter()
+        .map(|p| p.file_name().and_then(|n| n.to_str()).expect("utf8"))
+        .collect();
+    assert_eq!(
+        names,
+        [
+            "lud-small-000-missed-crash.repro",
+            "lud-small-001-missed-crash.repro",
+            "lud-tiny-000-missed-crash.repro",
+            "lud-tiny-001-missed-crash.repro",
+        ]
+    );
+    for (repro, name) in repros.iter().zip(names) {
+        let text = std::fs::read_to_string(repro).expect("readable");
+        let scale = if name.starts_with("lud-tiny") {
+            "tiny"
+        } else {
+            "small"
+        };
+        assert!(text.contains(&format!("# label: lud:{scale}\n")), "{text}");
+        let (stdout, stderr, ok) = epvf(&["oracle", "--replay", repro.to_str().expect("utf8")]);
+        assert!(ok, "{name}: {stderr}");
+        assert!(
+            stdout.contains("verdict   : reproduced"),
+            "{name}: {stdout}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// A reader that closes stdout before the command writes (`epvf … |
 /// head`) ends the command quietly: exit 0, nothing on stderr, and
 /// `--metrics-out` still written. Any other stdout failure (a full

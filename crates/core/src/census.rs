@@ -8,7 +8,7 @@
 //! how many remain SDC-prone.
 
 use crate::propagation::CrashMap;
-use epvf_ddg::{AceGraph, Ddg, NodeId, NodeKind};
+use epvf_ddg::{AceGraph, Ddg, Node, NodeId, NodeKind};
 use epvf_interp::{DynValueId, Trace};
 use epvf_ir::{InstIndex, Module, Value};
 use serde::{Deserialize, Serialize};
@@ -72,12 +72,24 @@ pub fn bit_census(
     crash_map: &CrashMap,
 ) -> BitCensus {
     let index = InstIndex::new(module);
-    let mut by_dyn: HashMap<DynValueId, NodeId> = HashMap::with_capacity(ddg.len());
+    // Register node by dynamic value id, dense up to the largest id.
+    let reg_dyn = |n: &Node| match n.kind {
+        NodeKind::Reg(dv) => Some(dv.index()),
+        _ => None,
+    };
+    let len = ddg
+        .nodes()
+        .iter()
+        .filter_map(reg_dyn)
+        .max()
+        .map_or(0, |m| m + 1);
+    let mut by_dyn: Vec<Option<NodeId>> = vec![None; len];
     for (i, n) in ddg.nodes().iter().enumerate() {
-        if let NodeKind::Reg(dv) = n.kind {
-            by_dyn.insert(dv, NodeId(i as u32));
+        if let Some(dv) = reg_dyn(n) {
+            by_dyn[dv] = Some(NodeId(i as u32));
         }
     }
+    let node_of = |dv: DynValueId| by_dyn.get(dv.index()).copied().flatten();
 
     let mut census = BitCensus::default();
     for rec in trace {
@@ -89,11 +101,7 @@ pub fn bit_census(
             let Value::Reg(r) = op.value else { continue };
             let width = u64::from(func.value_types[r.index()].bits());
             row.total_bits += width;
-            let in_ace = op
-                .src
-                .and_then(|dv| by_dyn.get(&dv))
-                .map(|n| ace.contains(*n))
-                .unwrap_or(false);
+            let in_ace = op.src.and_then(node_of).is_some_and(|n| ace.contains(n));
             if in_ace {
                 row.ace_bits += width;
                 if let Some(c) = crash_map.use_constraint(rec.idx, slot) {
@@ -104,10 +112,10 @@ pub fn bit_census(
         if let Some((reg, _, dv)) = rec.result {
             let width = u64::from(func.value_types[reg.index()].bits());
             row.total_bits += width;
-            if let Some(n) = by_dyn.get(&dv) {
-                if ace.contains(*n) {
+            if let Some(n) = node_of(dv) {
+                if ace.contains(n) {
                     row.ace_bits += width;
-                    if let Some(c) = crash_map.node_constraint(*n) {
+                    if let Some(c) = crash_map.node_constraint(n) {
                         row.crash_bits += u64::from(c.crash_bit_count());
                     }
                 }

@@ -835,15 +835,36 @@ impl<'m, 'r> Exec<'m, 'r> {
         if let Some(e) = &self.ecc {
             next = next.min(e.deadline);
         }
+        if let Some(f) = &self.injection {
+            // A fault at this position fires now; one behind it is spent.
+            if f.dyn_idx > self.dyn_count {
+                next = next.min(f.dyn_idx);
+            }
+        }
         self.next_event = next;
     }
 
+    /// Run to the end in the loop compiled for this run's tracing mode.
     fn exec_loop(&mut self) -> End {
+        if self.config.record_trace {
+            self.exec_loop_g::<true>()
+        } else {
+            self.exec_loop_g::<false>()
+        }
+    }
+
+    /// The instruction loop, compiled once per tracing mode. The pending
+    /// fault is an event on the horizon, so only the instruction it targets
+    /// runs the fault-aware body; every other one runs a body with no fault
+    /// test in it.
+    fn exec_loop_g<const TRACE: bool>(&mut self) -> End {
         loop {
+            let mut fault_now = false;
             if self.dyn_count >= self.next_event {
                 if let Some(end) = self.loop_top_events() {
                     return end;
                 }
+                fault_now = self.injection.is_some_and(|f| f.dyn_idx == self.dyn_count);
             }
             let module = self.module;
             let frame = self.frames.last().expect("frame stack never empty here");
@@ -851,7 +872,12 @@ impl<'m, 'r> Exec<'m, 'r> {
             let block = &func.blocks[frame.block];
             let inst: &'m Inst = &block.insts[frame.ip];
 
-            match self.exec_inst(inst) {
+            let flow = if fault_now {
+                self.exec_inst::<TRACE, true>(inst)
+            } else {
+                self.exec_inst::<TRACE, false>(inst)
+            };
+            match flow {
                 Flow::Next => {
                     let f = self.frames.last_mut().expect("frame exists");
                     f.ip += 1;
@@ -862,7 +888,7 @@ impl<'m, 'r> Exec<'m, 'r> {
                     f.block = target;
                     f.ip = 0;
                     // Resolve the block's leading phi batch.
-                    if let Some(o) = self.exec_phis(prev) {
+                    if let Some(o) = self.exec_phis::<TRACE>(prev) {
                         return End::Outcome(o);
                     }
                 }
@@ -897,7 +923,8 @@ impl<'m, 'r> Exec<'m, 'r> {
     /// parallel assignment (reads before writes), emitting one dynamic
     /// record per phi. Advances `ip` past the phi batch. Returns a terminal
     /// outcome if the hang budget or a watchdog stops the run mid-batch.
-    fn exec_phis(&mut self, prev_block: usize) -> Option<Outcome> {
+    /// No loop top precedes a phi, so each phi runs the fault checks.
+    fn exec_phis<const TRACE: bool>(&mut self, prev_block: usize) -> Option<Outcome> {
         let module = self.module;
         let (func_id, block_idx) = {
             let frame = self.frames.last().expect("frame exists");
@@ -923,14 +950,9 @@ impl<'m, 'r> Exec<'m, 'r> {
             }
             let dyn_idx = self.dyn_count;
             self.dyn_count += 1;
-            let (bits, src) = self.read_operand(dyn_idx, 0, taken);
+            let (bits, _) = self.read_operand::<TRACE, true>(dyn_idx, 0, taken);
             let result = inst.result.expect("phi defines");
-            if self.config.record_trace {
-                self.trace.push_operand(OperandRec {
-                    value: taken,
-                    bits,
-                    src,
-                });
+            if TRACE {
                 self.trace.push(DynInst {
                     idx: dyn_idx,
                     sid: inst.sid,
@@ -959,7 +981,7 @@ impl<'m, 'r> Exec<'m, 'r> {
             let frame = self.frames.last_mut().expect("frame exists");
             frame.regs[reg.index()] = bits;
             frame.dynid[reg.index()] = id;
-            if self.config.record_trace {
+            if TRACE {
                 self.trace
                     .set_result(self.trace.len() - n + i, (reg, bits, id));
             }
@@ -970,31 +992,53 @@ impl<'m, 'r> Exec<'m, 'r> {
     }
 
     /// Read one operand, applying the injection if this (dyn, slot) is the
-    /// target. Returns the (possibly corrupted) bits and the dynamic source.
-    fn read_operand(&mut self, dyn_idx: u64, slot: usize, v: Value) -> (u64, Option<DynValueId>) {
+    /// target, and record it as an operand of the instruction's trace
+    /// record. Returns the (possibly corrupted) bits and the dynamic source.
+    #[inline(always)]
+    fn read_operand<const TRACE: bool, const FAULT: bool>(
+        &mut self,
+        dyn_idx: u64,
+        slot: usize,
+        v: Value,
+    ) -> (u64, Option<DynValueId>) {
         let frame = self.frames.last().expect("frame exists");
         let (mut bits, src) = match v {
             Value::Reg(r) => (frame.regs[r.index()], Some(frame.dynid[r.index()])),
             Value::ConstInt { bits, .. } | Value::ConstFloat { bits, .. } => (bits, None),
             Value::Global(g) => (self.global_addrs[g.index()], None),
         };
-        if let Some(f) = self.injection {
-            if let FaultEffect::OperandXor { slot: s, mask } = f.effect {
-                if f.dyn_idx == dyn_idx && s == slot {
-                    bits ^= mask;
-                }
+        if let Some(FaultEffect::OperandXor { slot: s, mask }) = self.due_fault::<FAULT>(dyn_idx) {
+            if s == slot {
+                bits ^= mask;
             }
+        }
+        if TRACE {
+            self.trace.push_operand(OperandRec {
+                value: v,
+                bits,
+                src,
+            });
         }
         (bits, src)
     }
 
-    /// Whether the injected fault is `effect`-shaped and targets `dyn_idx`.
-    /// The XOR mask variants carry their payload out via pattern matching at
-    /// the call site; this helper serves the payload-free checks.
+    /// The effect of the injected fault if it targets `dyn_idx`.
+    #[inline(always)]
     fn fault_at(&self, dyn_idx: u64) -> Option<FaultEffect> {
         self.injection
             .filter(|f| f.dyn_idx == dyn_idx)
             .map(|f| f.effect)
+    }
+
+    /// [`Self::fault_at`] in the fault-aware body; `None` in the body every
+    /// other instruction runs, where the fault test compiles out.
+    #[inline(always)]
+    fn due_fault<const FAULT: bool>(&self, dyn_idx: u64) -> Option<FaultEffect> {
+        if FAULT {
+            self.fault_at(dyn_idx)
+        } else {
+            None
+        }
     }
 
     /// SEC-DED consumption check for an access touching the pending ECC
@@ -1055,19 +1099,26 @@ impl<'m, 'r> Exec<'m, 'r> {
         epvf_telemetry::add(Ctr::MemEccRaised, 1);
     }
 
+    /// Execute one non-phi instruction. `FAULT` is set only for the
+    /// instruction the injected fault targets; with it clear, every fault
+    /// test compiles out.
     #[allow(clippy::too_many_lines)]
-    fn exec_inst(&mut self, inst: &'m Inst) -> Flow {
+    fn exec_inst<const TRACE: bool, const FAULT: bool>(&mut self, inst: &'m Inst) -> Flow {
         let dyn_idx = self.dyn_count;
         self.dyn_count += 1;
+        debug_assert!(
+            FAULT || self.fault_at(dyn_idx).is_none(),
+            "the fault at dyn #{dyn_idx} was not scheduled"
+        );
         let func_id = self.frames.last().expect("frame exists").func;
+        let fault = self.due_fault::<FAULT>(dyn_idx);
 
         // An instruction-skip fault retires the target as a no-op: operands
         // are never read, no side effect runs, and the destination register
         // keeps its stale value. Terminators cannot be skipped (the block
         // must still transfer control), so there the fault does not fire.
-        if matches!(self.fault_at(dyn_idx), Some(FaultEffect::SkipInst)) && !inst.op.is_terminator()
-        {
-            if self.config.record_trace {
+        if matches!(fault, Some(FaultEffect::SkipInst)) && !inst.op.is_terminator() {
+            if TRACE {
                 self.trace.push(DynInst {
                     idx: dyn_idx,
                     sid: inst.sid,
@@ -1081,20 +1132,10 @@ impl<'m, 'r> Exec<'m, 'r> {
 
         // Operand reads (slot order = Op::operands()), recorded in place
         // as the operands of this instruction's record.
-        let tracing = self.config.record_trace;
-
         macro_rules! read {
-            ($slot:expr, $v:expr) => {{
-                let (bits, src) = self.read_operand(dyn_idx, $slot, $v);
-                if tracing {
-                    self.trace.push_operand(OperandRec {
-                        value: $v,
-                        bits,
-                        src,
-                    });
-                }
-                (bits, src)
-            }};
+            ($slot:expr, $v:expr) => {
+                self.read_operand::<TRACE, FAULT>(dyn_idx, $slot, $v)
+            };
         }
 
         let mut mem_rec: Option<MemAccessRec> = None;
@@ -1106,7 +1147,7 @@ impl<'m, 'r> Exec<'m, 'r> {
                 let (bv, _) = read!(1, *b);
                 match eval_bin(*op, *ty, av, bv) {
                     Ok(v) => {
-                        result = Some(self.define(inst, v));
+                        result = Some(self.define::<FAULT>(inst, v));
                         Flow::Next
                     }
                     Err(kind) => Flow::Stop(Outcome::Crashed {
@@ -1119,27 +1160,27 @@ impl<'m, 'r> Exec<'m, 'r> {
                 let (av, _) = read!(0, *a);
                 let (bv, _) = read!(1, *b);
                 let v = eval_fbin(*op, *ty, av, bv);
-                result = Some(self.define(inst, v));
+                result = Some(self.define::<FAULT>(inst, v));
                 Flow::Next
             }
             Op::FUn { op, ty, a } => {
                 let (av, _) = read!(0, *a);
                 let v = eval_fun(*op, *ty, av);
-                result = Some(self.define(inst, v));
+                result = Some(self.define::<FAULT>(inst, v));
                 Flow::Next
             }
             Op::Icmp { pred, ty, a, b } => {
                 let (av, _) = read!(0, *a);
                 let (bv, _) = read!(1, *b);
                 let v = eval_icmp(*pred, *ty, av, bv) as u64;
-                result = Some(self.define(inst, v));
+                result = Some(self.define::<FAULT>(inst, v));
                 Flow::Next
             }
             Op::Fcmp { pred, ty, a, b } => {
                 let (av, _) = read!(0, *a);
                 let (bv, _) = read!(1, *b);
                 let v = eval_fcmp(*pred, *ty, av, bv) as u64;
-                result = Some(self.define(inst, v));
+                result = Some(self.define::<FAULT>(inst, v));
                 Flow::Next
             }
             Op::Cast {
@@ -1150,7 +1191,7 @@ impl<'m, 'r> Exec<'m, 'r> {
             } => {
                 let (av, _) = read!(0, *a);
                 let v = eval_cast(*op, *from_ty, *to_ty, av);
-                result = Some(self.define(inst, v));
+                result = Some(self.define::<FAULT>(inst, v));
                 Flow::Next
             }
             Op::Select { cond, a, b, .. } => {
@@ -1158,13 +1199,13 @@ impl<'m, 'r> Exec<'m, 'r> {
                 let (av, _) = read!(1, *a);
                 let (bv, _) = read!(2, *b);
                 let v = if cv & 1 == 1 { av } else { bv };
-                result = Some(self.define(inst, v));
+                result = Some(self.define::<FAULT>(inst, v));
                 Flow::Next
             }
             Op::Phi { .. } => unreachable!("phis are executed by exec_phis"),
             Op::Load { ty, addr } => {
                 let (mut ap, _) = read!(0, *addr);
-                if let Some(FaultEffect::AddrXor { mask }) = self.fault_at(dyn_idx) {
+                if let Some(FaultEffect::AddrXor { mask }) = fault {
                     ap ^= mask;
                 }
                 let sp = self.frames.last().expect("frame exists").sp;
@@ -1180,7 +1221,7 @@ impl<'m, 'r> Exec<'m, 'r> {
                 } else {
                     match self.mem.read(ap, size, sp) {
                         Ok(v) => {
-                            if tracing {
+                            if TRACE {
                                 mem_rec = Some(MemAccessRec {
                                     addr: ap,
                                     size,
@@ -1189,7 +1230,7 @@ impl<'m, 'r> Exec<'m, 'r> {
                                     map: self.map_snapshot(),
                                 });
                             }
-                            result = Some(self.define(inst, v));
+                            result = Some(self.define::<FAULT>(inst, v));
                             Flow::Next
                         }
                         Err(e) => Flow::Stop(Outcome::Crashed {
@@ -1202,7 +1243,7 @@ impl<'m, 'r> Exec<'m, 'r> {
             Op::Store { ty, val, addr } => {
                 let (vv, _) = read!(0, *val);
                 let (mut ap, _) = read!(1, *addr);
-                if let Some(FaultEffect::AddrXor { mask }) = self.fault_at(dyn_idx) {
+                if let Some(FaultEffect::AddrXor { mask }) = fault {
                     ap ^= mask;
                 }
                 let sp = self.frames.last().expect("frame exists").sp;
@@ -1218,12 +1259,10 @@ impl<'m, 'r> Exec<'m, 'r> {
                 } else {
                     match self.mem.write(ap, size, ty.truncate_payload(vv), sp) {
                         Ok(()) => {
-                            if let Some(FaultEffect::EccFlip { mask, window }) =
-                                self.fault_at(dyn_idx)
-                            {
+                            if let Some(FaultEffect::EccFlip { mask, window }) = fault {
                                 self.ecc_plant(ap, size, ty.truncate_payload(vv), mask, window);
                             }
-                            if tracing {
+                            if TRACE {
                                 mem_rec = Some(MemAccessRec {
                                     addr: ap,
                                     size,
@@ -1247,7 +1286,7 @@ impl<'m, 'r> Exec<'m, 'r> {
                 frame.sp = new_sp;
                 match self.mem.grow_stack_to(new_sp) {
                     Ok(()) => {
-                        result = Some(self.define(inst, new_sp));
+                        result = Some(self.define::<FAULT>(inst, new_sp));
                         Flow::Next
                     }
                     Err(e) => Flow::Stop(Outcome::Crashed {
@@ -1267,14 +1306,14 @@ impl<'m, 'r> Exec<'m, 'r> {
                 let ity = self.operand_ty(*index, src);
                 let idx = ity.sign_extend(iv);
                 let v = bv.wrapping_add((*elem_size as i64).wrapping_mul(idx) as u64);
-                result = Some(self.define(inst, v));
+                result = Some(self.define::<FAULT>(inst, v));
                 Flow::Next
             }
             Op::Malloc { size } => {
                 let (sv, _) = read!(0, *size);
                 match self.mem.malloc(sv) {
                     Ok(p) => {
-                        result = Some(self.define(inst, p));
+                        result = Some(self.define::<FAULT>(inst, p));
                         Flow::Next
                     }
                     Err(e) => Flow::Stop(Outcome::Crashed {
@@ -1332,7 +1371,7 @@ impl<'m, 'r> Exec<'m, 'r> {
             } => {
                 let (cv, _) = read!(0, *cond);
                 let mut taken = cv & 1 == 1;
-                if matches!(self.fault_at(dyn_idx), Some(FaultEffect::FlipBranch)) {
+                if matches!(fault, Some(FaultEffect::FlipBranch)) {
                     taken = !taken;
                 }
                 Flow::Jump(if taken {
@@ -1358,7 +1397,7 @@ impl<'m, 'r> Exec<'m, 'r> {
             Op::DetectIf { cond } => {
                 let (cv, _) = read!(0, *cond);
                 let mut fire = cv & 1 == 1;
-                if matches!(self.fault_at(dyn_idx), Some(FaultEffect::FlipBranch)) {
+                if matches!(fault, Some(FaultEffect::FlipBranch)) {
                     fire = !fire;
                 }
                 if fire {
@@ -1369,7 +1408,7 @@ impl<'m, 'r> Exec<'m, 'r> {
             }
         };
 
-        if tracing {
+        if TRACE {
             self.trace.push(DynInst {
                 idx: dyn_idx,
                 sid: inst.sid,
@@ -1384,18 +1423,15 @@ impl<'m, 'r> Exec<'m, 'r> {
     /// Bind an instruction result: truncate to the result type, apply any
     /// result-targeted fault, assign a fresh dynamic id, store into the
     /// frame.
-    fn define(&mut self, inst: &Inst, raw: u64) -> (ValueId, u64, DynValueId) {
+    #[inline(always)]
+    fn define<const FAULT: bool>(&mut self, inst: &Inst, raw: u64) -> (ValueId, u64, DynValueId) {
         let reg = inst.result.expect("instruction defines a value");
         let frame = self.frames.last().expect("frame exists");
         let ty = self.module.functions[frame.func.index()].value_types[reg.index()];
         let mut bits = ty.truncate_payload(raw);
-        if let Some(f) = self.injection {
-            // dyn_count was already advanced past this instruction.
-            if let FaultEffect::ResultXor { mask } = f.effect {
-                if f.dyn_idx + 1 == self.dyn_count {
-                    bits = ty.truncate_payload(bits ^ mask);
-                }
-            }
+        // dyn_count was already advanced past this instruction.
+        if let Some(FaultEffect::ResultXor { mask }) = self.due_fault::<FAULT>(self.dyn_count - 1) {
+            bits = ty.truncate_payload(bits ^ mask);
         }
         let id = self.fresh_dyn();
         let frame = self.frames.last_mut().expect("frame exists");

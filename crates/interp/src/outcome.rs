@@ -192,8 +192,12 @@ impl RunResult {
     }
 }
 
-/// One printed-output cell comparison.
+/// One printed-output cell comparison. Equal bits print the same, so only
+/// differing floats are formatted.
 fn printed_eq(a: u64, b: u64, ty: Type) -> bool {
+    if a == b {
+        return true;
+    }
     match ty {
         Type::F64 => format!("{:.6e}", f64::from_bits(a)) == format!("{:.6e}", f64::from_bits(b)),
         Type::F32 => {
@@ -315,6 +319,23 @@ mod tests {
             ..int_golden.clone()
         };
         assert!(!int_off.outputs_match_printed(&int_golden));
+        // Equal bits compare equal; the two zeros differ in one bit and
+        // print differently; NaNs print alike whatever their payload.
+        let f64_out = |v: f64| RunResult {
+            outputs: vec![v.to_bits()],
+            ..golden.clone()
+        };
+        assert!(f64_out(1.0).outputs_match_printed(&golden));
+        assert!(!f64_out(-0.0).outputs_match_printed(&f64_out(0.0)));
+        let other_nan = f64::from_bits(f64::NAN.to_bits() ^ 1);
+        assert!(f64_out(other_nan).outputs_match_printed(&f64_out(f64::NAN)));
+        let f32_nan = |bits: u32| RunResult {
+            outputs: vec![u64::from(bits)],
+            output_tys: vec![Type::F32],
+            ..golden.clone()
+        };
+        let nan32 = f32::NAN.to_bits();
+        assert!(f32_nan(nan32 ^ 1).outputs_match_printed(&f32_nan(nan32)));
     }
 
     #[test]

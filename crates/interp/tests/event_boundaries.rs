@@ -8,7 +8,8 @@
 //! checks are scheduled must not move them.
 
 use epvf_interp::{
-    ExecConfig, FaultEffect, Interpreter, MachineFault, Outcome, ReplayOutcome, TimeoutKind,
+    CrashKind, ExecConfig, FaultEffect, Interpreter, MachineFault, Outcome, ReplayOutcome,
+    RunResult, TimeoutKind,
 };
 use epvf_ir::{parse_module, Module};
 
@@ -195,4 +196,121 @@ fn replays_rejoin_at_checkpoints_taken_after_a_batch() {
     ];
     let want: Vec<_> = want.into_iter().flatten().map(Some).collect();
     assert_eq!(got, want);
+}
+
+/// One effect of each fault kind, placed on every position of the sweep:
+/// the branch into the batch, both phis, the load and the compare after
+/// it. A replay from any checkpoint at or before the fault, traced or
+/// not, with or without rendezvous, must fire it at the same instruction.
+#[test]
+fn faults_fire_at_each_position_in_both_tracing_modes() {
+    let m = module();
+    let effects = [
+        FaultEffect::OperandXor {
+            slot: 0,
+            mask: 1 << 40,
+        },
+        FaultEffect::ResultXor { mask: 1 },
+        FaultEffect::SkipInst,
+        FaultEffect::FlipBranch,
+        FaultEffect::AddrXor { mask: 1 << 40 },
+        FaultEffect::EccFlip {
+            mask: 0b11,
+            window: 4,
+        },
+    ];
+    let plain = Interpreter::new(&m, ExecConfig::default());
+    let traced = Interpreter::new(
+        &m,
+        ExecConfig {
+            record_trace: true,
+            ..ExecConfig::default()
+        },
+    );
+    let golden = plain.run("main", &[], None).expect("runs");
+    let checkpoints: Vec<_> = [2, 3, 13]
+        .into_iter()
+        .map(|interval| {
+            let (_, snaps) = plain
+                .run_with_checkpoints("main", &[], interval)
+                .expect("runs");
+            snaps
+        })
+        .collect();
+    let mut got = Vec::new();
+    for dyn_idx in SWEEP {
+        for effect in effects {
+            let fault = MachineFault { dyn_idx, effect };
+            let fresh = plain.run("main", &[], Some(fault)).expect("runs");
+            let same = |r: &RunResult| {
+                r.outcome == fresh.outcome
+                    && r.outputs == fresh.outputs
+                    && r.dyn_insts == fresh.dyn_insts
+            };
+            let what = format!("{fault:?}");
+            let with_trace = traced.run("main", &[], Some(fault)).expect("runs");
+            assert!(same(&with_trace), "{what}: traced run differs");
+            assert!(with_trace.trace.is_some(), "{what}: traced run has a trace");
+            let masked = same(&golden);
+            for snaps in &checkpoints {
+                for from in snaps.iter().filter(|s| s.dyn_count() <= dyn_idx) {
+                    let at = from.dyn_count();
+                    match plain.replay(from, Some(fault), &[]) {
+                        ReplayOutcome::Finished(r) => {
+                            assert!(same(&r), "{what} from {at}: replay differs");
+                        }
+                        ReplayOutcome::Rejoined { .. } => {
+                            unreachable!("no rendezvous was armed")
+                        }
+                    }
+                    match plain.replay(from, Some(fault), snaps) {
+                        ReplayOutcome::Finished(r) => {
+                            assert!(same(&r), "{what} from {at}: rendezvous replay differs");
+                        }
+                        ReplayOutcome::Rejoined { at_dyn } => {
+                            assert!(masked, "{what} from {at}: rejoined at {at_dyn}");
+                            assert!(at_dyn > dyn_idx, "{what}: rejoined at {at_dyn}");
+                        }
+                    }
+                }
+            }
+            got.push((fresh.outcome, fresh.dyn_insts));
+        }
+    }
+    // One row per position, one column per effect. Only the operand and
+    // result flips fire on a phi, and nothing fires on the branch.
+    let done = Outcome::Completed;
+    let segv = Outcome::Crashed {
+        kind: CrashKind::Segfault,
+        at_dyn: 16,
+    };
+    let want = [
+        [(done, 153); 6],
+        [
+            (done, 21),
+            (done, 165),
+            (done, 153),
+            (done, 153),
+            (done, 153),
+            (done, 153),
+        ],
+        [(done, 153); 6],
+        [
+            (segv, 17),
+            (done, 153),
+            (done, 153),
+            (done, 153),
+            (segv, 17),
+            (done, 153),
+        ],
+        [
+            (done, 21),
+            (done, 21),
+            (done, 153),
+            (done, 153),
+            (done, 153),
+            (done, 153),
+        ],
+    ];
+    assert_eq!(got, want.concat());
 }

@@ -389,6 +389,7 @@ impl SimMemory {
     ///
     /// # Errors
     /// [`AccessError::Misaligned`] or [`AccessError::Segfault`].
+    #[inline]
     pub fn check_access(&mut self, addr: u64, size: u64, sp: u64) -> Result<(), AccessError> {
         self.stats.fault_checks += 1;
         if let AlignmentPolicy::FourByte = self.config.alignment {
@@ -408,10 +409,18 @@ impl SimMemory {
         Ok(())
     }
 
+    #[inline]
     fn check_byte(&mut self, addr: u64, sp: u64) -> Result<(), AccessError> {
         if self.map.locate(addr).is_some() {
             return Ok(()); // common case
         }
+        self.grow_stack_or_fault(addr, sp)
+    }
+
+    /// [`Self::check_byte`] for an address in no VMA, kept out of line so
+    /// the common case inlines into every access.
+    #[cold]
+    fn grow_stack_or_fault(&mut self, addr: u64, sp: u64) -> Result<(), AccessError> {
         // Not in any VMA. Linux: if this lies in the stack gap and within
         // the guard window below SP (and above the rlimit), expand the
         // stack (case I); otherwise SIGSEGV (case II).
@@ -444,6 +453,7 @@ impl SimMemory {
     ///
     /// # Errors
     /// Propagates the fault from [`Self::check_access`].
+    #[inline]
     pub fn read(&mut self, addr: u64, size: u64, sp: u64) -> Result<u64, AccessError> {
         debug_assert!(matches!(size, 1 | 2 | 4 | 8), "bad access size {size}");
         self.check_access(addr, size, sp)?;
@@ -467,6 +477,7 @@ impl SimMemory {
     ///
     /// # Errors
     /// Propagates the fault from [`Self::check_access`].
+    #[inline]
     pub fn write(&mut self, addr: u64, size: u64, value: u64, sp: u64) -> Result<(), AccessError> {
         debug_assert!(matches!(size, 1 | 2 | 4 | 8), "bad access size {size}");
         self.check_access(addr, size, sp)?;

@@ -103,6 +103,7 @@ impl MemoryMap {
 
     /// Find the area containing `addr` (the paper's
     /// `locate_segment_start`/`locate_segment_end` pair).
+    #[inline]
     pub fn locate(&self, addr: u64) -> Option<&Vma> {
         let idx = self.vmas.partition_point(|v| v.end <= addr);
         self.vmas.get(idx).filter(|v| v.contains(addr))
