@@ -150,7 +150,8 @@ fn assign_shard_wals(
         let Some(&i) = expect.get(&fp) else {
             return Err(CliError::input(format!(
                 "{} is not a shard of this campaign (fingerprint {fp:#018x} matches no \
-                 shard 0..{of}; wrong target, run count, seed, fault model, or --of?)",
+                 shard 0..{of}; wrong target, run count, seed, fault model, --fuel, \
+                 --poison-at, or --of?)",
                 path.display()
             )));
         };

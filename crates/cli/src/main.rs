@@ -37,7 +37,6 @@ use epvf_protect::{plan_protection, rank_instructions, RankingStrategy};
 use epvf_telemetry::{MetricsReport, Progress};
 use epvf_workloads::{by_name, extended_suite, Scale, Workload};
 use std::process::ExitCode;
-use std::time::Duration;
 
 /// `print!` through [`write_stdout`]: evaluates to its `Result`.
 macro_rules! out {
@@ -392,12 +391,8 @@ usage: epvf <command> [args]
     --resume                   recover FILE (requires --wal) and run only
                                the missing specs; aggregates are
                                byte-identical to an uninterrupted run
-    --retries R                re-runs before a panicking run is
-                               quarantined (default 1)
     --fuel N                   kill injected runs after N dyn insts
                                (outcome: timed out, deterministic)
-    --deadline-ms MS           wall-clock kill per injected run
-                               (non-deterministic; off by default)
     --max-unsound R            exit 3 (degraded) when the quarantined +
                                timed-out fraction exceeds R (default 0.05)
     --quarantine-dir DIR       write a replayable .repro per quarantined
@@ -706,12 +701,8 @@ fn parse_inject_opts(rest: &[String]) -> Result<(CampaignConfig, InjectOpts), Cl
                 config.ckpt_interval = if k == 0 { CampaignConfig::CKPT_OFF } else { k };
             }
             "--threads" => config.threads = flag_value::<usize>(&mut it, a)?.max(1),
-            "--retries" => config.retries = flag_value(&mut it, a)?,
-            "--fuel" => config.run_fuel = Some(flag_value(&mut it, a)?),
-            "--deadline-ms" => {
-                config.run_deadline = Some(Duration::from_millis(flag_value(&mut it, a)?));
-            }
-            "--poison-at" => config.poison_at = Some(flag_value(&mut it, a)?),
+            "--fuel" => config.exec.fuel = Some(flag_value(&mut it, a)?),
+            "--poison-at" => config.exec.poison_at = Some(flag_value(&mut it, a)?),
             "--wal" => opts.wal = Some(flag_value(&mut it, a)?),
             "--resume" => opts.resume = true,
             "--fault-model" => {

@@ -135,6 +135,14 @@ fn stray_arguments_are_usage_errors() {
             &["protect", "lud:tiny", "0.2", "0.3"][..],
             "unexpected argument `0.3`",
         ),
+        (
+            &["inject", "mm:tiny", "10", "1", "--retries", "1"][..],
+            "unknown flag `--retries`",
+        ),
+        (
+            &["inject", "mm:tiny", "10", "1", "--deadline-ms", "5"][..],
+            "unknown flag `--deadline-ms`",
+        ),
         (&["serve", "--socket", "x"][..], "unknown command `serve`"),
         (
             &["run-sharded", "lud:tiny", "400", "7", "--shards", "2"][..],

@@ -111,6 +111,15 @@ fn quarantine_dir_gets_replayable_repros() {
     let text = std::fs::read_to_string(repros[0].path()).expect("readable");
     assert!(text.starts_with("# epvf-oracle repro v1"), "{text}");
     assert!(text.contains("# kind: quarantine"), "{text}");
+    assert!(text.contains("\n# poison-at: 0\n"), "{text}");
+    // Each repro carries the poison hook, so its replay panics and
+    // quarantines again.
+    for repro in &repros {
+        let path = repro.path();
+        let r = epvf(&["oracle", "--replay", path.to_str().expect("utf8")]);
+        assert_eq!(r.code, 0, "{}{}", r.stdout, r.stderr);
+        assert!(r.stdout.contains("verdict   : reproduced"), "{}", r.stdout);
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -155,6 +164,20 @@ fn wal_refuses_a_mismatched_campaign() {
     let r = epvf(&["inject", "mm:tiny", "20", "12", "--wal", wal_s, "--resume"]);
     assert_eq!(r.code, 4, "{}", r.stderr);
     assert!(r.stderr.contains("fingerprint"), "{}", r.stderr);
+
+    // The run limits are part of the campaign: a fuel-limited log resumes
+    // only under the same fuel.
+    let limited = ["inject", "mm:tiny", "20", "11", "--fuel", "50"];
+    let full = epvf(&limited);
+    assert_eq!(full.code, 3, "{}", full.stderr);
+    let r = epvf(&[&limited[..], &["--wal", wal_s]].concat());
+    assert_eq!(r.code, 3, "{}", r.stderr);
+    let r = epvf(&["inject", "mm:tiny", "20", "11", "--wal", wal_s, "--resume"]);
+    assert_eq!(r.code, 4, "{}", r.stderr);
+    assert!(r.stderr.contains("fingerprint"), "{}", r.stderr);
+    let r = epvf(&[&limited[..], &["--wal", wal_s, "--resume"]].concat());
+    assert_eq!(r.code, 3, "{}", r.stderr);
+    assert_eq!(r.stdout, full.stdout);
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -58,7 +58,7 @@ mod trace;
 pub use epvf_memsim::WordMap;
 pub use machine::{
     ExecConfig, ExecError, FaultEffect, InjectionSpec, Interpreter, MachineFault, ReplayOutcome,
-    Snapshot, DEADLINE_CHECK_STRIDE,
+    Snapshot,
 };
 pub use outcome::{CrashKind, Outcome, RunResult, TimeoutKind};
 pub use trace::{

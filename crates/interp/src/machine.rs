@@ -37,22 +37,12 @@ pub struct ExecConfig {
     /// exhaustion means the supervisor gave up on the run — the limit
     /// checked first wins. `None` disables the watchdog.
     pub fuel: Option<u64>,
-    /// Supervision wall-clock deadline, measured from the start of the
-    /// run and checked every [`DEADLINE_CHECK_STRIDE`] dynamic
-    /// instructions; exceeding it kills the run as
-    /// [`Outcome::TimedOut`]`(`[`TimeoutKind::Deadline`]`)`. `None` (the
-    /// default) keeps execution fully deterministic.
-    pub deadline: Option<std::time::Duration>,
     /// Test hook for the campaign supervisor's panic isolation: panic
     /// when `dyn_count` reaches this value, simulating an interpreter
     /// defect at a reproducible dynamic position. Never set outside
     /// supervision tests and the CI panic-injection smoke.
     pub poison_at: Option<u64>,
 }
-
-/// How many dynamic instructions execute between wall-clock deadline
-/// checks (syscall-free fast path in between).
-pub const DEADLINE_CHECK_STRIDE: u64 = 4096;
 
 impl Default for ExecConfig {
     fn default() -> Self {
@@ -61,7 +51,6 @@ impl Default for ExecConfig {
             max_dyn_insts: 50_000_000,
             record_trace: false,
             fuel: None,
-            deadline: None,
             poison_at: None,
         }
     }
@@ -457,9 +446,6 @@ struct Exec<'m, 'r> {
     dyn_base: u64,
     mem_stats_base: MemStats,
     flushed: bool,
-    /// When the run started, set only under a wall-clock deadline so
-    /// deadline-free runs never touch the clock.
-    deadline_start: Option<std::time::Instant>,
     /// The event horizon: no per-position check (ECC scrub, checkpoint,
     /// rendezvous, hang budget, watchdogs) can fire before this dynamic
     /// index, so the hot path compares `dyn_count >= next_event` and
@@ -514,7 +500,6 @@ impl<'m, 'r> Exec<'m, 'r> {
             dyn_base: 0,
             mem_stats_base: MemStats::default(),
             flushed: false,
-            deadline_start: config.deadline.map(|_| std::time::Instant::now()),
             next_event: 0,
             phi_stage: Vec::new(),
         }
@@ -552,7 +537,6 @@ impl<'m, 'r> Exec<'m, 'r> {
             dyn_base: snap.dyn_count,
             mem_stats_base: snap.mem.stats(),
             flushed: false,
-            deadline_start: config.deadline.map(|_| std::time::Instant::now()),
             next_event: 0,
             phi_stage: Vec::new(),
         }
@@ -723,9 +707,8 @@ impl<'m, 'r> Exec<'m, 'r> {
         self.state_matches(snap).then_some(self.dyn_count)
     }
 
-    /// Supervision checks at the loop top: the poison test hook, the fuel
-    /// cap, and (every [`DEADLINE_CHECK_STRIDE`] instructions) the
-    /// wall-clock deadline. Returns the terminal outcome of a killed run.
+    /// Supervision checks: the poison test hook, then the fuel cap.
+    /// Returns the terminal outcome of a killed run.
     fn watchdog(&mut self) -> Option<Outcome> {
         if self.config.poison_at.is_some_and(|at| self.dyn_count >= at) {
             panic!(
@@ -737,25 +720,12 @@ impl<'m, 'r> Exec<'m, 'r> {
             epvf_telemetry::add(Ctr::WatchdogFuelKills, 1);
             return Some(Outcome::TimedOut(TimeoutKind::Fuel));
         }
-        if let (Some(limit), Some(start)) = (self.config.deadline, self.deadline_start) {
-            // Skip the zeroth check: a run shorter than one stride never
-            // pays for a clock read.
-            if self.dyn_count != 0
-                && self.dyn_count.is_multiple_of(DEADLINE_CHECK_STRIDE)
-                && start.elapsed() > limit
-            {
-                epvf_telemetry::add(Ctr::WatchdogDeadlineKills, 1);
-                return Some(Outcome::TimedOut(TimeoutKind::Deadline));
-            }
-        }
         None
     }
 
     /// Whether any watchdog is armed.
     fn watchdog_armed(&self) -> bool {
-        self.config.fuel.is_some()
-            || self.config.deadline.is_some()
-            || self.config.poison_at.is_some()
+        self.config.fuel.is_some() || self.config.poison_at.is_some()
     }
 
     /// Scrub the pending ECC error if its delayed-reporting window has
@@ -817,10 +787,6 @@ impl<'m, 'r> Exec<'m, 'r> {
         let mut next = cfg.max_dyn_insts;
         for at in [cfg.fuel, cfg.poison_at].into_iter().flatten() {
             next = next.min(at);
-        }
-        if self.deadline_start.is_some() {
-            let next_stride = (self.dyn_count / DEADLINE_CHECK_STRIDE).saturating_add(1);
-            next = next.min(next_stride.saturating_mul(DEADLINE_CHECK_STRIDE));
         }
         if let Some(c) = &self.ckpt {
             next = next.min(c.next_at);

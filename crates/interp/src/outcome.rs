@@ -72,16 +72,13 @@ impl fmt::Display for CrashKind {
 pub enum TimeoutKind {
     /// The per-run fuel (dynamic-instruction) budget ran out.
     Fuel,
-    /// The per-run wall-clock deadline passed.
-    Deadline,
 }
 
 impl TimeoutKind {
-    /// Short label used in reports (`fuel` / `deadline`).
+    /// Short label used in reports (`fuel`).
     pub fn label(self) -> &'static str {
         match self {
             TimeoutKind::Fuel => "fuel",
-            TimeoutKind::Deadline => "deadline",
         }
     }
 }
@@ -109,8 +106,8 @@ pub enum Outcome {
     Hang,
     /// A duplication check (§V) fired and stopped the run.
     Detected,
-    /// Killed by a supervision watchdog ([`ExecConfig`]'s fuel or
-    /// deadline limits) before reaching any semantic outcome.
+    /// Killed by a supervision watchdog ([`ExecConfig`]'s fuel limit)
+    /// before reaching any semantic outcome.
     ///
     /// [`ExecConfig`]: super::ExecConfig
     TimedOut(TimeoutKind),
@@ -246,10 +243,6 @@ mod tests {
         assert!(!t.is_crash());
         assert_eq!(t.crash_kind(), None);
         assert_eq!(t.to_string(), "timed out (fuel)");
-        assert_eq!(
-            Outcome::TimedOut(TimeoutKind::Deadline).to_string(),
-            "timed out (deadline)"
-        );
     }
 
     #[test]

@@ -1,10 +1,9 @@
-//! Watchdog semantics: fuel and wall-clock deadlines terminate runaway
-//! runs with a structured `TimedOut` outcome, the `poison_at` test hook
-//! panics deterministically, and an unarmed watchdog changes nothing.
+//! Watchdog semantics: fuel terminates runaway runs with a structured
+//! `TimedOut` outcome, the `poison_at` test hook panics
+//! deterministically, and an unarmed watchdog changes nothing.
 
-use epvf_interp::{ExecConfig, Interpreter, Outcome, TimeoutKind, DEADLINE_CHECK_STRIDE};
+use epvf_interp::{ExecConfig, Interpreter, Outcome, TimeoutKind};
 use epvf_ir::{IcmpPred, Module, ModuleBuilder, Type, Value};
-use std::time::Duration;
 
 /// sum of 0..n via a loop with phis — long enough to trip any watchdog.
 fn loop_sum_module() -> Module {
@@ -80,7 +79,6 @@ fn generous_fuel_does_not_perturb_the_run() {
         &m,
         ExecConfig {
             fuel: Some(1_000_000),
-            deadline: Some(Duration::from_secs(3600)),
             ..ExecConfig::default()
         },
     )
@@ -90,46 +88,6 @@ fn generous_fuel_does_not_perturb_the_run() {
     assert_eq!(fueled.outcome, Outcome::Completed);
     assert_eq!(plain.outputs, fueled.outputs);
     assert_eq!(plain.dyn_insts, fueled.dyn_insts);
-}
-
-#[test]
-fn expired_deadline_times_out_at_a_stride_boundary() {
-    let m = loop_sum_module();
-    // A zero deadline has already expired when the first stride check
-    // runs, so the loop must be long enough to reach one.
-    let iters = DEADLINE_CHECK_STRIDE; // ~6 insts per iteration
-    let r = Interpreter::new(
-        &m,
-        ExecConfig {
-            deadline: Some(Duration::ZERO),
-            ..ExecConfig::default()
-        },
-    )
-    .run("main", &[iters], None)
-    .expect("setup ok");
-    assert_eq!(r.outcome, Outcome::TimedOut(TimeoutKind::Deadline));
-    assert!(
-        r.dyn_insts <= 2 * DEADLINE_CHECK_STRIDE,
-        "kill within the first strides, got {}",
-        r.dyn_insts
-    );
-}
-
-#[test]
-fn short_run_outlives_a_zero_deadline() {
-    // Deadline checks are strided: a run shorter than one stride ends
-    // before the watchdog ever looks at the clock.
-    let m = loop_sum_module();
-    let r = Interpreter::new(
-        &m,
-        ExecConfig {
-            deadline: Some(Duration::ZERO),
-            ..ExecConfig::default()
-        },
-    )
-    .run("main", &[4], None)
-    .expect("setup ok");
-    assert_eq!(r.outcome, Outcome::Completed);
 }
 
 #[test]
@@ -187,9 +145,5 @@ fn timed_out_display_names_the_kind() {
     assert_eq!(
         Outcome::TimedOut(TimeoutKind::Fuel).to_string(),
         "timed out (fuel)"
-    );
-    assert_eq!(
-        Outcome::TimedOut(TimeoutKind::Deadline).to_string(),
-        "timed out (deadline)"
     );
 }

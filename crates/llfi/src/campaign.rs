@@ -34,12 +34,11 @@ pub enum InjOutcome {
     Hang,
     /// A §V duplication detector fired.
     Detected,
-    /// Killed by a supervision watchdog (fuel or wall-clock deadline)
-    /// before reaching any semantic outcome.
+    /// Killed by the supervision fuel watchdog before reaching any
+    /// semantic outcome.
     TimedOut(TimeoutKind),
-    /// The run panicked (in every attempt its retry budget allowed) and
-    /// was isolated by the supervisor instead of killing the campaign.
-    /// The panic payload is recorded in the matching
+    /// The run panicked and was isolated by the supervisor instead of
+    /// killing the campaign. The panic payload is recorded in the matching
     /// [`QuarantineRecord`](crate::QuarantineRecord).
     Quarantined,
 }
@@ -75,7 +74,12 @@ impl InjOutcome {
 /// Campaign options.
 #[derive(Debug, Clone, Copy)]
 pub struct CampaignConfig {
-    /// Interpreter/memory configuration for the injected runs.
+    /// Interpreter/memory configuration. Its run limits, `fuel` and the
+    /// `poison_at` test hook, apply to injected runs only: the golden
+    /// passes run without them, since they must complete for the campaign
+    /// to exist. Fuel exhaustion yields
+    /// [`InjOutcome::TimedOut`]`(`[`TimeoutKind::Fuel`]`)`, a supervision
+    /// kill rather than a semantic classification.
     pub exec: ExecConfig,
     /// Worker threads (1 = fully serial).
     pub threads: usize,
@@ -86,26 +90,6 @@ pub struct CampaignConfig {
     /// checkpoints; [`Self::CKPT_OFF`] disables checkpointing and restores
     /// full from-scratch replays.
     pub ckpt_interval: u64,
-    /// How many times a panicking run is re-executed before it is
-    /// quarantined. Retries distinguish transient poison (an environmental
-    /// hiccup that succeeds on re-run) from deterministic poison (a run
-    /// that panics every time and must be isolated).
-    pub retries: u32,
-    /// Fuel budget (dynamic instructions) for *injected* runs; exhausting
-    /// it yields [`InjOutcome::TimedOut`]`(`[`TimeoutKind::Fuel`]`)`.
-    /// Unlike the hang threshold this is a supervision kill, not a
-    /// semantic classification. The golden run is never fuel-limited.
-    pub run_fuel: Option<u64>,
-    /// Wall-clock deadline per injected run; exceeding it yields
-    /// [`InjOutcome::TimedOut`]`(`[`TimeoutKind::Deadline`]`)`. Inherently
-    /// non-deterministic — off by default, and outcomes produced under a
-    /// deadline are excluded from the byte-identical-aggregates contract.
-    pub run_deadline: Option<std::time::Duration>,
-    /// Test hook: make every injected run panic once its dynamic
-    /// instruction count reaches this value, exercising the panic
-    /// isolation path end to end. Never set outside tests and the CI
-    /// panic-injection smoke.
-    pub poison_at: Option<u64>,
 }
 
 impl CampaignConfig {
@@ -122,29 +106,21 @@ impl Default for CampaignConfig {
             exec: ExecConfig::default(),
             threads: std::thread::available_parallelism().map_or(4, |n| n.get()),
             ckpt_interval: CampaignConfig::CKPT_AUTO,
-            retries: 1,
-            run_fuel: None,
-            run_deadline: None,
-            poison_at: None,
         }
     }
 }
 
-/// One quarantined run: the spec that panicked on every attempt, the
-/// panic payload, and how many retries were burned proving the poison
-/// deterministic. Collected in [`CampaignResult::quarantines`] and
-/// renderable as a replayable `.repro` file via
-/// [`Campaign::render_quarantine_repro`].
+/// One quarantined run: the spec that panicked and the panic payload.
+/// Collected in [`CampaignResult::quarantines`] and renderable as a
+/// replayable `.repro` file via [`Campaign::render_quarantine_repro`].
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct QuarantineRecord {
     /// Index of the run in the campaign's spec list (draw order).
     pub index: usize,
     /// The injection spec whose run panicked.
     pub spec: InjectionSpec,
-    /// Panic payload (or internal-error message) from the final attempt.
+    /// Panic payload (or internal-error message).
     pub payload: String,
-    /// Attempts beyond the first (i.e. retries actually consumed).
-    pub retries: u32,
 }
 
 /// Aggregated campaign results.
@@ -193,7 +169,7 @@ impl CampaignResult {
         self.count(|o| o == InjOutcome::Detected) as f64 / self.n().max(1) as f64
     }
 
-    /// Fraction of watchdog-killed runs (fuel or deadline).
+    /// Fraction of fuel-killed runs.
     pub fn timed_out_rate(&self) -> f64 {
         self.count(|o| matches!(o, InjOutcome::TimedOut(_))) as f64 / self.n().max(1) as f64
     }
@@ -369,8 +345,14 @@ impl<'m> Campaign<'m> {
         config: CampaignConfig,
         model: Arc<dyn FaultModel>,
     ) -> Result<Self, CampaignError> {
-        let interp = Interpreter::new(module, config.exec);
-        let golden = interp.golden_run(entry, args)?;
+        // Only injected runs are supervised (`injected_exec`): the golden
+        // passes run without the run limits.
+        let golden_exec = ExecConfig {
+            fuel: None,
+            poison_at: None,
+            ..config.exec
+        };
+        let golden = Interpreter::new(module, golden_exec).golden_run(entry, args)?;
         if golden.outcome != Outcome::Completed {
             return Err(CampaignError::GoldenFailed(golden.outcome));
         }
@@ -395,7 +377,7 @@ impl<'m> Campaign<'m> {
             } else {
                 config.ckpt_interval
             };
-            let mut exec = config.exec;
+            let mut exec = golden_exec;
             exec.record_trace = false;
             let (rerun, ckpts) = Interpreter::new(module, exec)
                 .run_with_checkpoints(entry, args, interval)
@@ -463,8 +445,9 @@ impl<'m> Campaign<'m> {
         self.ckpts.len()
     }
 
-    /// Interpreter configuration for injected runs: trace off, hang budget
-    /// ten times the golden run's length (plus slack for tiny programs).
+    /// Interpreter configuration for injected runs: the campaign's, run
+    /// limits included, with the trace off and a hang budget ten times the
+    /// golden run's length (plus slack for tiny programs).
     fn injected_exec(&self) -> ExecConfig {
         ExecConfig {
             record_trace: false,
@@ -473,12 +456,6 @@ impl<'m> Campaign<'m> {
                 .dyn_insts
                 .saturating_mul(10)
                 .saturating_add(10_000),
-            // Supervision watchdogs apply to injected runs only; the
-            // golden run executes un-fuel-limited (it must complete for
-            // the campaign to exist at all).
-            fuel: self.config.run_fuel,
-            deadline: self.config.run_deadline,
-            poison_at: self.config.poison_at,
             ..self.config.exec
         }
     }
@@ -584,8 +561,7 @@ impl<'m> Campaign<'m> {
     /// recovered from a WAL are prefilled instead of re-executed, and
     /// fresh completions are appended to the session's WAL sink (if any).
     /// Every run executes under panic isolation — a panicking run is
-    /// retried per `config.retries` and then quarantined, never allowed to
-    /// tear down the campaign.
+    /// quarantined, never allowed to tear down the campaign.
     pub fn run_specs_session(
         &self,
         specs: &[InjectionSpec],
@@ -612,64 +588,47 @@ impl<'m> Campaign<'m> {
         } else {
             Progress::new(&label, order.len() as u64)
         };
-        if threads == 1 || order.len() < 32 {
-            for (done, &i) in order.iter().enumerate() {
-                let (o, q) = self.run_spec_isolated(i, specs[i]);
-                if let Some(sink) = session.wal {
-                    sink.append(session.global_index(i), specs[i], o);
-                }
-                outcomes[i] = Some(o);
-                quarantines.extend(q);
-                progress.tick(done as u64 + 1);
+        // One spec: an isolated run, then its WAL record.
+        let finished = AtomicUsize::new(0);
+        let run_one = |i: usize| {
+            let (o, q) = self.run_spec_isolated(i, specs[i]);
+            if let Some(sink) = session.wal {
+                sink.append(session.global_index(i), specs[i], o);
             }
-        } else {
+            progress.tick(finished.fetch_add(1, Ordering::Relaxed) as u64 + 1);
+            (o, q)
+        };
+        if threads > 1 && order.len() >= 32 {
             let cursor = AtomicUsize::new(0);
-            let done = AtomicUsize::new(0);
-            let order = &order;
-            let cursor = &cursor;
-            let done = &done;
-            let progress = &progress;
-            let locals: Vec<Vec<(usize, InjOutcome, Option<QuarantineRecord>)>> =
-                crossbeam::scope(|scope| {
-                    let handles: Vec<_> = (0..threads)
-                        .map(|_| {
-                            scope.spawn(move |_| {
-                                epvf_telemetry::add(Ctr::CampaignWorkerBatches, 1);
-                                let mut local = Vec::new();
-                                loop {
-                                    let k = cursor.fetch_add(1, Ordering::Relaxed);
-                                    let Some(&i) = order.get(k) else { break };
-                                    let (o, q) = self.run_spec_isolated(i, specs[i]);
-                                    if let Some(sink) = session.wal {
-                                        sink.append(session.global_index(i), specs[i], o);
-                                    }
-                                    local.push((i, o, q));
-                                    progress.tick(done.fetch_add(1, Ordering::Relaxed) as u64 + 1);
-                                }
-                                epvf_telemetry::add(Ctr::CampaignStealOps, local.len() as u64);
-                                local
-                            })
+            std::thread::scope(|scope| {
+                let workers: Vec<_> = (0..threads)
+                    .map(|_| {
+                        scope.spawn(|| {
+                            epvf_telemetry::add(Ctr::CampaignWorkerBatches, 1);
+                            let mut local = Vec::new();
+                            while let Some(&i) = order.get(cursor.fetch_add(1, Ordering::Relaxed)) {
+                                local.push((i, run_one(i)));
+                            }
+                            epvf_telemetry::add(Ctr::CampaignStealOps, local.len() as u64);
+                            local
                         })
-                        .collect();
-                    // A worker whose join fails (it panicked outside the
-                    // supervised region) loses its local results; the
-                    // serial sweep below re-runs whatever it missed.
-                    handles.into_iter().filter_map(|h| h.join().ok()).collect()
-                })
-                .unwrap_or_default();
-            for (i, o, q) in locals.into_iter().flatten() {
-                outcomes[i] = Some(o);
-                quarantines.extend(q);
-            }
-            for &i in order.iter() {
-                if outcomes[i].is_none() {
-                    let (o, q) = self.run_spec_isolated(i, specs[i]);
-                    if let Some(sink) = session.wal {
-                        sink.append(session.global_index(i), specs[i], o);
-                    }
+                    })
+                    .collect();
+                // A worker whose join fails (it panicked outside the
+                // isolated region) loses its local results; the sweep
+                // below re-runs whatever it missed.
+                for (i, (o, q)) in workers.into_iter().filter_map(|w| w.join().ok()).flatten() {
                     outcomes[i] = Some(o);
                     quarantines.extend(q);
                 }
+            });
+        }
+        // The serial path, and the sweep after the workers.
+        for &i in &order {
+            if outcomes[i].is_none() {
+                let (o, q) = run_one(i);
+                outcomes[i] = Some(o);
+                quarantines.extend(q);
             }
         }
         if let Some(sink) = session.wal {

@@ -4,11 +4,11 @@
 //! runs; a bug anywhere in the interpreter (or a pathological corruption)
 //! can panic. Without isolation one panic tears down the worker pool and
 //! loses the whole campaign. Here every run executes under
-//! [`std::panic::catch_unwind`]: a panicking run is retried up to the
-//! configured budget (distinguishing transient from deterministic poison)
-//! and then *quarantined* — recorded as [`InjOutcome::Quarantined`] with
-//! its payload in a [`QuarantineRecord`], renderable as a replayable
-//! `.repro` file — while the rest of the campaign proceeds.
+//! [`std::panic::catch_unwind`]: a panicking run is *quarantined* —
+//! recorded as [`InjOutcome::Quarantined`] with its payload in a
+//! [`QuarantineRecord`], renderable as a replayable `.repro` file — while
+//! the rest of the campaign proceeds. A run is a pure function of the
+//! campaign and its spec, so it is never retried: it would panic again.
 //!
 //! Isolated panics are muted through a wrapping panic hook (installed
 //! once, delegating to the previous hook for panics outside a run), so a
@@ -113,43 +113,28 @@ impl RunSession<'_> {
 impl Campaign<'_> {
     /// Execute one spec under panic isolation.
     ///
-    /// A run that panics is retried up to `config.retries` times; if every
-    /// attempt panics (or the interpreter reports an internal setup error,
-    /// which no retry can fix) the run is quarantined. Exactly one
-    /// `runs_total` + outcome-class counter pair is recorded per call, so
-    /// the telemetry conservation law holds whatever happens inside.
+    /// A run that panics, or whose interpreter reports an internal setup
+    /// error, is quarantined. Exactly one `runs_total` + outcome-class
+    /// counter pair is recorded per call, so the telemetry conservation
+    /// law holds whatever happens inside.
     pub(crate) fn run_spec_isolated(
         &self,
         index: usize,
         spec: InjectionSpec,
     ) -> (InjOutcome, Option<QuarantineRecord>) {
         install_quiet_hook();
-        let attempts = self.config().retries.saturating_add(1);
-        let mut used = 0u32;
-        let mut payload = String::new();
-        for attempt in 0..attempts {
-            if attempt > 0 {
-                used = attempt;
-                epvf_telemetry::add(Ctr::CampaignPanicRetries, 1);
+        IN_ISOLATED_RUN.with(|s| s.set(true));
+        let run = panic::catch_unwind(AssertUnwindSafe(|| self.try_run_spec(spec)));
+        IN_ISOLATED_RUN.with(|s| s.set(false));
+        let payload = match run {
+            Ok(Ok(outcome)) => {
+                epvf_telemetry::add(Ctr::CampaignRunsTotal, 1);
+                epvf_telemetry::add(outcome.counter(), 1);
+                return (outcome, None);
             }
-            IN_ISOLATED_RUN.with(|s| s.set(true));
-            let run = panic::catch_unwind(AssertUnwindSafe(|| self.try_run_spec(spec)));
-            IN_ISOLATED_RUN.with(|s| s.set(false));
-            match run {
-                Ok(Ok(outcome)) => {
-                    epvf_telemetry::add(Ctr::CampaignRunsTotal, 1);
-                    epvf_telemetry::add(outcome.counter(), 1);
-                    return (outcome, None);
-                }
-                Ok(Err(e)) => {
-                    // Structured interpreter error: deterministic, skip
-                    // the retry budget.
-                    payload = format!("internal error: {e}");
-                    break;
-                }
-                Err(p) => payload = payload_string(p.as_ref()),
-            }
-        }
+            Ok(Err(e)) => format!("internal error: {e}"),
+            Err(p) => payload_string(p.as_ref()),
+        };
         epvf_telemetry::add(Ctr::CampaignRunsTotal, 1);
         epvf_telemetry::add(Ctr::CampaignRunsQuarantined, 1);
         (
@@ -158,7 +143,6 @@ impl Campaign<'_> {
                 index,
                 spec,
                 payload,
-                retries: used,
             }),
         )
     }
@@ -166,8 +150,8 @@ impl Campaign<'_> {
     /// Render a quarantined run as a replayable repro file in the format
     /// `epvf oracle --replay` consumes: a `#`-prefixed header carrying the
     /// entry, args, fault model (unless it is the default single-bit
-    /// flip), and `dyn:slot:bit` spec, a `---` separator, then the full
-    /// module text.
+    /// flip), the `poison_at` test hook (when the campaign arms it), and
+    /// `dyn:slot:bit` spec, a `---` separator, then the full module text.
     pub fn render_quarantine_repro(&self, q: &QuarantineRecord) -> String {
         let mut head = String::new();
         head.push_str("# epvf-oracle repro v1\n");
@@ -179,14 +163,15 @@ impl Campaign<'_> {
         if model != epvf_core::DEFAULT_MODEL {
             head.push_str(&format!("# model: {model}\n"));
         }
+        if let Some(at) = self.config().exec.poison_at {
+            head.push_str(&format!("# poison-at: {at}\n"));
+        }
         head.push_str(&format!("# spec: {}\n", q.spec));
         head.push_str("# kind: quarantine\n");
         head.push_str("# observed: quarantined\n");
         head.push_str(&format!(
-            "# predicted: panic after {} retr{}: {}\n",
-            q.retries,
-            if q.retries == 1 { "y" } else { "ies" },
-            q.payload.replace('\n', " "),
+            "# predicted: panic: {}\n",
+            q.payload.replace('\n', " ")
         ));
         head.push_str("---\n");
         head.push_str(&format!("{}", self.module()));

@@ -27,7 +27,7 @@ use crate::campaign::{Campaign, InjOutcome};
 use crate::sampler::SamplerConfig;
 use crate::shard::ShardSpec;
 use epvf_core::DEFAULT_MODEL;
-use epvf_interp::{CrashKind, InjectionSpec, TimeoutKind};
+use epvf_interp::{CrashKind, ExecConfig, InjectionSpec, TimeoutKind};
 use epvf_ir::{fnv1a32, Fnv64};
 use epvf_telemetry::Ctr;
 use std::borrow::Cow;
@@ -55,7 +55,8 @@ pub enum Draw<'a> {
 }
 
 /// The identity of one campaign execution: module text, entry, args, the
-/// draw, the fault model, and the shard. A WAL header carries its
+/// draw, the fault model, the injected-run limits, and the shard. A WAL
+/// header carries its
 /// [`fingerprint`](CampaignKey::fingerprint), and
 /// [`recover`](WalSink::recover) refuses a log stamped with another.
 pub struct CampaignKey<'a> {
@@ -70,6 +71,9 @@ enum Inputs<'a> {
         args: &'a [u64],
         draw: Draw<'a>,
         model: Cow<'a, str>,
+        /// The injected runs' [`ExecConfig::fuel`] and
+        /// [`ExecConfig::poison_at`].
+        limits: [Option<u64>; 2],
     },
     /// The fingerprint of some `Parts` under [`ShardSpec::WHOLE`].
     Hashed(u64),
@@ -77,7 +81,8 @@ enum Inputs<'a> {
 
 impl<'a> CampaignKey<'a> {
     /// The whole campaign over `module`'s text under fault model `model`
-    /// (a canonical [`FaultModel::name`](epvf_core::FaultModel::name)).
+    /// (a canonical [`FaultModel::name`](epvf_core::FaultModel::name)),
+    /// with no run limits.
     pub fn new(
         module: &'a dyn fmt::Display,
         entry: &'a str,
@@ -92,12 +97,14 @@ impl<'a> CampaignKey<'a> {
                 args,
                 draw,
                 model: model.into(),
+                limits: [None; 2],
             },
             shard: ShardSpec::WHOLE,
         }
     }
 
-    /// The whole of `campaign` drawing `draw`.
+    /// The whole of `campaign` drawing `draw`, under the run limits its
+    /// injected runs obey.
     pub fn of(campaign: &'a Campaign<'_>, draw: Draw<'a>) -> Self {
         Self::new(
             campaign.module(),
@@ -106,6 +113,15 @@ impl<'a> CampaignKey<'a> {
             draw,
             campaign.model().name(),
         )
+        .limited(&campaign.config().exec)
+    }
+
+    /// The same campaign under the run limits of `exec`.
+    fn limited(mut self, exec: &ExecConfig) -> Self {
+        if let Inputs::Parts { limits, .. } = &mut self.inputs {
+            *limits = [exec.fuel, exec.poison_at];
+        }
+        self
     }
 
     /// The key whose whole-campaign fingerprint is `whole`: shards of it
@@ -124,11 +140,11 @@ impl<'a> CampaignKey<'a> {
     }
 
     /// The 64-bit FNV-1a fingerprint a WAL header stores: the key's fields
-    /// in order, delimited by the separator bytes `0xff`..`0xfb` below. The
-    /// default model and the whole partition add nothing, so a plain
-    /// single-bit-flip `epvf inject --wal` log, a `shard --index 0 --of 1`
-    /// log, and logs written before models and shards existed all share
-    /// one fingerprint.
+    /// in order, delimited by the separator bytes `0xff`..`0xf9` below. The
+    /// default model, unset run limits and the whole partition add
+    /// nothing, so a plain single-bit-flip `epvf inject --wal` log, a
+    /// `shard --index 0 --of 1` log, and logs written before models,
+    /// limits and shards were keyed all share one fingerprint.
     pub fn fingerprint(&self) -> u64 {
         use fmt::Write as _;
         let mut h = match &self.inputs {
@@ -139,6 +155,7 @@ impl<'a> CampaignKey<'a> {
                 args,
                 draw,
                 model,
+                limits,
             } => {
                 let mut h = Fnv64::new();
                 // 0xff closes the module text and the entry (never a
@@ -175,6 +192,14 @@ impl<'a> CampaignKey<'a> {
                 if model != DEFAULT_MODEL {
                     h.u8(0xfc);
                     h.bytes(model.as_bytes());
+                }
+                // 0xfa (fuel), 0xf9 (poison_at): each run limit that is
+                // set, so a limited log never resumes or merges without it.
+                for (sep, limit) in [0xfa, 0xf9].into_iter().zip(limits) {
+                    if let Some(v) = limit {
+                        h.u8(sep);
+                        h.u64(*v);
+                    }
                 }
                 h
             }
@@ -249,7 +274,7 @@ pub enum WalError {
     BadMagic,
     /// Header shorter than magic + fingerprint.
     TruncatedHeader,
-    /// The log belongs to a different campaign (module/entry/args/specs).
+    /// The log belongs to a different campaign (see [`CampaignKey`]).
     FingerprintMismatch {
         /// Fingerprint of the campaign being resumed.
         expected: u64,
@@ -363,7 +388,6 @@ fn encode_outcome(o: InjOutcome) -> (u8, u8) {
         InjOutcome::Hang => (3, 0),
         InjOutcome::Detected => (4, 0),
         InjOutcome::TimedOut(TimeoutKind::Fuel) => (5, 0),
-        InjOutcome::TimedOut(TimeoutKind::Deadline) => (5, 1),
         InjOutcome::Quarantined => (6, 0),
     }
 }
@@ -379,7 +403,6 @@ fn decode_outcome(tag: u8, sub: u8) -> Option<InjOutcome> {
         (3, 0) => InjOutcome::Hang,
         (4, 0) => InjOutcome::Detected,
         (5, 0) => InjOutcome::TimedOut(TimeoutKind::Fuel),
-        (5, 1) => InjOutcome::TimedOut(TimeoutKind::Deadline),
         (6, 0) => InjOutcome::Quarantined,
         _ => return None,
     })
@@ -608,7 +631,6 @@ mod tests {
             InjOutcome::Hang,
             InjOutcome::Detected,
             InjOutcome::TimedOut(TimeoutKind::Fuel),
-            InjOutcome::TimedOut(TimeoutKind::Deadline),
             InjOutcome::Quarantined,
         ];
         for o in all {
@@ -617,6 +639,8 @@ mod tests {
         }
         assert_eq!(decode_outcome(7, 0), None);
         assert_eq!(decode_outcome(2, 4), None);
+        // The retired wall-clock deadline subtag.
+        assert_eq!(decode_outcome(5, 1), None);
     }
 
     #[test]
@@ -712,6 +736,33 @@ mod tests {
             }
             other => panic!("expected fingerprint mismatch, got {other:?}"),
         }
+    }
+
+    /// A record carrying the retired `(5, 1)` subtag (a wall-clock
+    /// deadline kill) under a valid checksum decodes as no outcome, like
+    /// any unknown tag: the log keeps the records before it and counts the
+    /// rest as torn, so `--resume` re-runs that record and every later one.
+    #[test]
+    fn retired_deadline_subtag_reads_as_a_torn_tail() {
+        let p = scratch("retired.wal");
+        let sink = WalSink::create(&p, 1).unwrap();
+        sink.append(0, spec(1, 0, 0), InjOutcome::Benign);
+        sink.append(1, spec(2, 0, 1), InjOutcome::TimedOut(TimeoutKind::Fuel));
+        sink.append(2, spec(3, 0, 2), InjOutcome::Sdc);
+        drop(sink);
+        let mut bytes = std::fs::read(&p).unwrap();
+        let payload = HEADER_LEN + (4 + PAYLOAD_LEN + 4) + 4;
+        bytes[payload + 22] = 1;
+        let sum = fnv1a32(&bytes[payload..payload + PAYLOAD_LEN]);
+        bytes[payload + PAYLOAD_LEN..][..4].copy_from_slice(&sum.to_le_bytes());
+        std::fs::write(&p, &bytes).unwrap();
+
+        let rec = RecoveredWal::read(&p, 1).unwrap();
+        assert_eq!(rec.torn, 1);
+        assert_eq!(
+            rec.outcomes.into_iter().collect::<Vec<_>>(),
+            [(0, (spec(1, 0, 0), InjOutcome::Benign))]
+        );
     }
 
     #[test]
@@ -851,11 +902,7 @@ mod tests {
         let written = [
             (0, spec(10, 0, 3), InjOutcome::Benign),
             (1, spec(20, 1, 7), InjOutcome::Crash(CrashKind::Segfault)),
-            (
-                4,
-                spec(30, 0, 63),
-                InjOutcome::TimedOut(TimeoutKind::Deadline),
-            ),
+            (4, spec(30, 0, 63), InjOutcome::TimedOut(TimeoutKind::Fuel)),
         ];
         let p = scratch("total.wal");
         let sink = WalSink::create(&p, 0xabcd).unwrap();
@@ -927,5 +974,23 @@ mod tests {
         assert_ne!(base, wal_fingerprint("m", "other", &[4], &specs));
         assert_ne!(base, wal_fingerprint("m", "main", &[5], &specs));
         assert_ne!(base, wal_fingerprint("m", "main", &[4], &[spec(1, 0, 1)]));
+        let limited = |fuel, poison_at| {
+            let exec = ExecConfig {
+                fuel,
+                poison_at,
+                ..ExecConfig::default()
+            };
+            key(Draw::Specs(&specs), DEFAULT_MODEL)
+                .limited(&exec)
+                .fingerprint()
+        };
+        assert_eq!(base, limited(None, None));
+        let fuel = limited(Some(50), None);
+        let poison = limited(None, Some(50));
+        assert_ne!(base, fuel);
+        assert_ne!(base, poison);
+        assert_ne!(fuel, poison);
+        assert_ne!(fuel, limited(Some(51), None));
+        assert_ne!(poison, limited(None, Some(51)));
     }
 }

@@ -1,11 +1,27 @@
-//! Supervised campaign execution: panic isolation (quarantine + retries),
-//! per-run watchdogs, WAL persistence with mid-campaign resume, and
+//! Supervised campaign execution: panic isolation (quarantine), the
+//! per-run fuel watchdog, WAL persistence with mid-campaign resume, and
 //! determinism of all of it across thread counts.
 
+use epvf_interp::ExecConfig;
 use epvf_ir::{IcmpPred, Module, ModuleBuilder, Type, Value};
 use epvf_llfi::{wal_fingerprint, Campaign, CampaignConfig, InjOutcome, RunSession, WalSink};
 use std::collections::BTreeMap;
-use std::time::Duration;
+
+/// A campaign configuration whose injected runs obey `exec`'s limits.
+fn limited(exec: ExecConfig) -> CampaignConfig {
+    CampaignConfig {
+        exec,
+        ..CampaignConfig::default()
+    }
+}
+
+/// Injected runs panic at dynamic instruction `at`.
+fn poisoned(at: u64) -> ExecConfig {
+    ExecConfig {
+        poison_at: Some(at),
+        ..ExecConfig::default()
+    }
+}
 
 /// A loop workload with enough dynamic instructions to give the
 /// campaign a rich site population.
@@ -48,11 +64,7 @@ fn poisoned_runs_quarantine_without_killing_the_campaign() {
         &m,
         "main",
         &[],
-        CampaignConfig {
-            poison_at: Some(0), // every injected run panics immediately
-            retries: 2,
-            ..CampaignConfig::default()
-        },
+        limited(poisoned(0)), // every injected run panics immediately
     )
     .expect("golden run is never poisoned");
     let fi = campaign.run(12, 9);
@@ -64,7 +76,6 @@ fn poisoned_runs_quarantine_without_killing_the_campaign() {
     );
     assert_eq!(fi.quarantines.len(), 12);
     for q in &fi.quarantines {
-        assert_eq!(q.retries, 2, "exhausted the full retry budget");
         assert!(q.payload.contains("poisoned at dyn #0"), "{}", q.payload);
     }
     assert_eq!(fi.quarantined_rate(), 1.0);
@@ -80,9 +91,8 @@ fn quarantine_is_deterministic_across_thread_counts() {
             "main",
             &[],
             CampaignConfig {
-                poison_at: Some(400), // only full-length runs get poisoned
                 threads,
-                ..CampaignConfig::default()
+                ..limited(poisoned(400)) // only full-length runs get poisoned
             },
         )
         .expect("golden");
@@ -116,10 +126,10 @@ fn run_fuel_classifies_as_timed_out() {
         &m,
         "main",
         &[],
-        CampaignConfig {
-            run_fuel: Some(5), // far below the golden run's length
-            ..CampaignConfig::default()
-        },
+        limited(ExecConfig {
+            fuel: Some(5), // far below the golden run's length
+            ..ExecConfig::default()
+        }),
     )
     .expect("the golden run is never fuel-limited");
     let fi = campaign.run(10, 1);
@@ -143,12 +153,10 @@ fn generous_supervision_leaves_outcomes_untouched() {
         &m,
         "main",
         &[],
-        CampaignConfig {
-            run_fuel: Some(u64::MAX / 2),
-            run_deadline: Some(Duration::from_secs(3600)),
-            retries: 3,
-            ..CampaignConfig::default()
-        },
+        limited(ExecConfig {
+            fuel: Some(u64::MAX / 2),
+            ..ExecConfig::default()
+        }),
     )
     .expect("golden")
     .run(48, 5);
@@ -159,16 +167,7 @@ fn generous_supervision_leaves_outcomes_untouched() {
 #[test]
 fn quarantine_repro_uses_the_oracle_format() {
     let m = loop_module(50);
-    let campaign = Campaign::new(
-        &m,
-        "main",
-        &[],
-        CampaignConfig {
-            poison_at: Some(0),
-            ..CampaignConfig::default()
-        },
-    )
-    .expect("golden");
+    let campaign = Campaign::new(&m, "main", &[], limited(poisoned(0))).expect("golden");
     let fi = campaign.run(1, 2);
     let q = &fi.quarantines[0];
     let repro = campaign.render_quarantine_repro(q);
@@ -179,16 +178,20 @@ fn quarantine_repro_uses_the_oracle_format() {
     let parsed = epvf_oracle::parse_repro(&repro).expect("repro parses");
     assert_eq!(parsed.module.to_string(), m.to_string());
     assert_eq!(parsed.spec, q.spec);
+    // The repro arms the hook the campaign ran under, so it replays to
+    // the recorded quarantine.
+    assert_eq!(parsed.poison_at, Some(0));
+    assert_eq!(
+        epvf_oracle::replay_repro(&parsed).expect("replays"),
+        InjOutcome::Quarantined
+    );
 
     // Under another fault model the repro names it, and parses back to it.
     let burst = Campaign::with_model(
         &m,
         "main",
         &[],
-        CampaignConfig {
-            poison_at: Some(0),
-            ..CampaignConfig::default()
-        },
+        limited(poisoned(0)),
         epvf_core::parse_fault_model("burst:2").expect("a shipped model"),
     )
     .expect("golden");

@@ -4,9 +4,11 @@
 //! (workload label, entry, args, the fault model unless it is the default
 //! `bitflip`, the `dyn:slot:bit` spec, observed outcome, the model's
 //! claim, and the injected static instruction as an IR snippet), a `---`
-//! separator, and the full module in textual IR. Feeding the file to
-//! `epvf oracle --replay <file>` re-executes exactly that fault under that
-//! model and compares the outcome against the recorded one.
+//! separator, and the full module in textual IR. A campaign's quarantine
+//! repro adds the `poison_at` test hook it ran under (`# poison-at:`).
+//! Feeding the file to `epvf oracle --replay <file>` re-executes exactly
+//! that fault under that model and compares the outcome against the
+//! recorded one.
 
 use crate::diff::Disagreement;
 use crate::ground_truth::outcome_label;
@@ -49,6 +51,9 @@ pub struct Repro {
     /// The fault model the spec is injected under (`# model:`; the
     /// default single-bit flip when the line is absent).
     pub model: Arc<dyn FaultModel>,
+    /// The `poison_at` test hook the injected run is armed with
+    /// (`# poison-at:`; unarmed when the line is absent).
+    pub poison_at: Option<u64>,
     /// The fault.
     pub spec: InjectionSpec,
     /// Outcome label recorded when the disagreement was found.
@@ -109,7 +114,7 @@ pub fn write_repros(
     let mut paths = Vec::new();
     for (i, d) in disagreements.iter().enumerate() {
         let path = dir.join(format!("{prefix}-{i:03}-{}.repro", d.kind.label()));
-        std::fs::write(&path, render_repro(ctx, d))?;
+        epvf_telemetry::atomic_write(&path, render_repro(ctx, d).as_bytes())?;
         paths.push(path);
     }
     Ok(paths)
@@ -118,8 +123,9 @@ pub fn write_repros(
 /// Parse a repro file produced by [`render_repro`].
 ///
 /// # Errors
-/// Returns a message for a malformed header (an unknown `# model:`
-/// included), missing separator, or IR that fails to parse.
+/// Returns a message for a malformed header (an unknown `# model:` or a
+/// non-numeric `# poison-at:` included), missing separator, or IR that
+/// fails to parse.
 pub fn parse_repro(text: &str) -> Result<Repro, String> {
     let (head, body) = text
         .split_once("\n---\n")
@@ -142,6 +148,10 @@ pub fn parse_repro(text: &str) -> Result<Repro, String> {
         Some(name) => parse_fault_model(name).map_err(|e| format!("repro `# model:`: {e}"))?,
         None => default_fault_model(),
     };
+    let poison_at = field("poison-at")
+        .map(str::parse::<u64>)
+        .transpose()
+        .map_err(|e| format!("repro `# poison-at:`: {e}"))?;
     let observed = field("observed").unwrap_or("?").to_string();
     let module = parse_module(body).map_err(|e| format!("repro IR: {e}"))?;
     Ok(Repro {
@@ -149,6 +159,7 @@ pub fn parse_repro(text: &str) -> Result<Repro, String> {
         entry,
         args,
         model,
+        poison_at,
         spec,
         observed,
     })
@@ -189,19 +200,21 @@ impl fmt::Display for ReplayError {
 
 impl std::error::Error for ReplayError {}
 
-/// Re-execute a repro's fault under its model and classify it against a
-/// fresh golden run.
+/// Re-execute a repro's fault under its model, with its poison hook
+/// armed, and classify it against a fresh golden run.
 ///
 /// # Errors
 /// [`ReplayError::Campaign`] if the golden run fails, and
 /// [`ReplayError::OutsideSpace`] if the spec is not one of the program's
 /// injection points.
 pub fn replay_repro(repro: &Repro) -> Result<InjOutcome, ReplayError> {
+    let mut config = CampaignConfig::default();
+    config.exec.poison_at = repro.poison_at;
     let campaign = Campaign::with_model(
         &repro.module,
         &repro.entry,
         &repro.args,
-        CampaignConfig::default(),
+        config,
         Arc::clone(&repro.model),
     )
     .map_err(ReplayError::Campaign)?;

@@ -94,8 +94,6 @@ define_counters! {
         "snapshots captured by checkpointing golden passes"),
     WatchdogFuelKills => ("interp.watchdog.fuel_kills", Sum, true,
         "runs killed by the supervision fuel budget"),
-    WatchdogDeadlineKills => ("interp.watchdog.deadline_kills", Sum, false,
-        "runs killed by the wall-clock deadline watchdog"),
     // --- memory simulator ---
     MemFaultChecks => ("memsim.fault_checks", Sum, false,
         "access-validity decisions taken (the simulated Fig. 4 kernel logic)"),
@@ -162,11 +160,9 @@ define_counters! {
     CampaignRunsDetected => ("llfi.campaign.runs_detected", Sum, true,
         "injection runs stopped by a duplication detector"),
     CampaignRunsTimedOut => ("llfi.campaign.runs_timed_out", Sum, true,
-        "injection runs killed by a supervision watchdog (fuel or deadline)"),
+        "injection runs killed by the supervision fuel budget"),
     CampaignRunsQuarantined => ("llfi.campaign.runs_quarantined", Sum, true,
-        "injection runs isolated after panicking past the retry budget"),
-    CampaignPanicRetries => ("llfi.campaign.panic_retries", Sum, true,
-        "panicked runs re-executed under the transient-retry budget"),
+        "injection runs isolated after panicking"),
     CampaignEarlyBenign => ("llfi.campaign.early_benign", Sum, false,
         "runs classified benign by golden-rendezvous short-circuit"),
     CampaignResumedRuns => ("llfi.campaign.resumed_runs", Sum, false,
